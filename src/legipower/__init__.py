@@ -33,7 +33,6 @@ from .counting import (
     CoalitionTemplate,
     CountVector,
     PoolConstraint,
-    joint_quota_count,
     joint_quota_vector,
     sum_counts,
     template_counts,
@@ -94,7 +93,6 @@ __all__ = [
     "distinguishing_indices",
     "evaluate",
     "growth_ratio",
-    "joint_quota_count",
     "joint_quota_vector",
     "majority_quota",
     "member_critical_vector",

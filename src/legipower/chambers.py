@@ -14,6 +14,7 @@ from enum import Enum
 
 from .combinat import CertOutcome, binomial, certify_comparison
 from .counting import CountVector, joint_quota_vector
+from .semivalues import size_signs
 
 
 def majority_quota(size: int) -> int:
@@ -64,6 +65,18 @@ class MulticamSpec:
     @property
     def total_players(self) -> int:
         return sum(c.size for c in self.chambers)
+
+    def class_ids(self) -> tuple[str, ...]:
+        """One player class per chamber, named after it, in chamber order."""
+        return tuple(c.name for c in self.chambers)
+
+    def critical_vector(self, class_id: str) -> CountVector:
+        return member_critical_vector(self, class_id)
+
+    def to_document(self) -> dict:
+        """The spec-file document describing this legislature."""
+        return {"chambers": [{"name": c.name, "size": c.size, "quota": c.quota}
+                             for c in self.chambers]}
 
     def chamber(self, name: str) -> ChamberSpec:
         for c in self.chambers:
@@ -148,11 +161,10 @@ def compare_members(spec: MulticamSpec, a: str, b: str) -> ComparisonVerdict:
     va = member_critical_vector(spec, a)
     vb = member_critical_vector(spec, b)
 
-    sizes = sorted(set(va.support()) | set(vb.support()))
-    signs = {k: (va[k] > vb[k]) - (va[k] < vb[k]) for k in sizes}
+    signs = size_signs(va, vb)
     _cross_check_certificate(spec, ca, cb, signs)
 
-    per_k = tuple(sorted(signs.items()))
+    per_k = tuple(signs.items())
     has_pos = any(s > 0 for s in signs.values())
     has_neg = any(s < 0 for s in signs.values())
 
@@ -164,7 +176,7 @@ def compare_members(spec: MulticamSpec, a: str, b: str) -> ComparisonVerdict:
         cross = frozenset(k for k, s in signs.items() if s == -top_sign)
         return ComparisonVerdict(MemberRelation.CROSSOVER, dominant, cross, per_k)
     dominant = a if has_pos else b
-    strict = all(s != 0 for k, s in signs.items() if va[k] or vb[k])
+    strict = 0 not in signs.values()
     relation = MemberRelation.STRICT_DOMINANCE if strict else MemberRelation.WEAK_DOMINANCE
     return ComparisonVerdict(relation, dominant, frozenset(), per_k)
 
@@ -205,14 +217,13 @@ def classify_bicameral(m_small: int, m_large: int) -> CaseClass:
 def crossover_sizes(m_small: int, q_small: int, m_large: int, q_large: int) -> frozenset[int]:
     """Sizes where the larger chamber's member is strictly ahead.
 
-    Scans the range where the larger chamber's member critical number is
-    nonzero; by the single-crossing behaviour of the underlying comparison the
-    result is a prefix of that range (possibly empty, possibly all of it).
+    Read off ``compare_members`` (so the certificate cross-check runs too); by
+    the single-crossing behaviour of the underlying comparison the result is a
+    prefix of the range where the larger chamber's member is critical
+    (possibly empty, possibly all of it).
     """
     if not m_small < m_large:
         raise ValueError(f"need m_small < m_large, got {m_small}, {m_large}")
     spec = MulticamSpec((ChamberSpec("small", m_small, q_small),
                          ChamberSpec("large", m_large, q_large)))
-    v_small = member_critical_vector(spec, "small")
-    v_large = member_critical_vector(spec, "large")
-    return frozenset(k for k in v_large.support() if v_large[k] > v_small[k])
+    return frozenset(k for k, s in compare_members(spec, "small", "large").per_k if s < 0)

@@ -1,7 +1,8 @@
 """Command-line front end: spec-file analyses with deterministic reports.
 
 Exit codes: 0 success, 1 oracle mismatch, 2 input validation failure,
-3 capability bound exceeded.
+3 capability bound exceeded, 4 internal error (an exact check contradicted
+another).
 """
 
 from __future__ import annotations
@@ -9,10 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__, oracle
-from .chambers import ChamberSpec, classify_bicameral, crossover_sizes, majority_quota
+from .chambers import (
+    CertificationMismatchError,
+    classify_bicameral,
+    crossover_sizes,
+    majority_quota,
+)
 from .counting import CountVector
 from .reporting import (
     Report,
@@ -25,25 +30,32 @@ from .reporting import (
 from .semivalues import (
     WeightingVector,
     banzhaf,
+    competition_ranks,
     distinguishing_indices,
     evaluate,
     point_mass,
     shapley_shubik,
+    size_signs,
     weak_desirability,
 )
-from .specfile import LoadedSpec, SpecFileError, load_spec_file, load_weight_file
+from .specfile import (
+    Legislature,
+    SpecFileError,
+    load_spec_file,
+    load_weight_file,
+    resolve_class,
+)
 from .uslike import UsSpec, vp_rep_sign_table
 
-def _canonical_echo(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
-
-def _meta(args: argparse.Namespace, command: str, echo: dict | None) -> list[tuple[str, str]] | None:
+def _meta(args: argparse.Namespace, command: str,
+          spec: Legislature | None = None) -> list[tuple[str, str]] | None:
     if args.no_meta:
         return None
     meta = [("tool", "legipower"), ("version", __version__), ("command", command)]
-    if echo is not None:
-        meta.append(("spec", _canonical_echo(echo)))
+    if spec is not None:
+        echo = json.dumps(spec.to_document(), sort_keys=True, separators=(",", ":"))
+        meta.append(("spec", echo))
     return meta
 
 
@@ -58,10 +70,7 @@ def _resolve_index(selector: str, n: int) -> tuple[str, WeightingVector]:
             size = int(raw)
         except ValueError:
             raise SpecFileError(f"pointmass size must be an integer, got {raw!r}") from None
-        try:
-            return f"pointmass:{size}", point_mass(n, size)
-        except ValueError as exc:
-            raise SpecFileError(str(exc)) from exc
+        return f"pointmass:{size}", point_mass(n, size)
     if selector.startswith("file:"):
         path = selector.split(":", 1)[1]
         return f"file:{path}", load_weight_file(path, n)
@@ -70,29 +79,22 @@ def _resolve_index(selector: str, n: int) -> tuple[str, WeightingVector]:
     )
 
 
-def _spec_section(report: Report, loaded: LoadedSpec) -> None:
+def _spec_section(report: Report, spec: Legislature) -> None:
     sec = report.section("spec", "legislature", ("field", "value"))
-    if loaded.us is not None:
-        us = loaded.us
-        senate, house = loaded.chamber_names
-        sec.rows.extend([
-            ("kind", "us-style"),
-            (f"{senate}.size", str(us.senate_size)),
-            (f"{senate}.quota", str(us.senate_quota)),
-            (f"{senate}.override", str(us.senate_override)),
-            (f"{house}.size", str(us.house_size)),
-            (f"{house}.quota", str(us.house_quota)),
-            (f"{house}.override", str(us.house_override)),
-            ("president", str(us.has_president).lower()),
-            ("vice_president", str(us.has_vp).lower()),
-            ("players", str(us.total_players)),
-        ])
-    else:
-        sec.rows.append(("kind", "multicameral"))
-        for chamber in loaded.multicam.chambers:
-            sec.rows.append((f"{chamber.name}.size", str(chamber.size)))
-            sec.rows.append((f"{chamber.name}.quota", str(chamber.quota)))
-        sec.rows.append(("players", str(loaded.multicam.total_players)))
+    document = spec.to_document()
+    executive = document.get("executive", {})
+    override = executive.get("override", {})
+    sec.rows.append(("kind", "us-style" if executive else "multicameral"))
+    for chamber in document["chambers"]:
+        name = chamber["name"]
+        sec.rows.append((f"{name}.size", str(chamber["size"])))
+        sec.rows.append((f"{name}.quota", str(chamber["quota"])))
+        if name in override:
+            sec.rows.append((f"{name}.override", str(override[name])))
+    for flag in ("president", "vice_president"):
+        if flag in executive:
+            sec.rows.append((flag, json.dumps(executive[flag])))
+    sec.rows.append(("players", str(spec.total_players)))
 
 
 def _vector_section(report: Report, vectors: dict[str, CountVector],
@@ -113,33 +115,26 @@ def _index_sections(report: Report, vectors: dict[str, CountVector],
     values_sec = report.section("index_values", "index values", headers)
     ranking_sec = report.section("ranking", "ranking", ("index", "rank", "class", "value"))
     for index_name, w in indices:
-        values: dict[str, Fraction] = {}
-        for class_id, vec in vectors.items():
-            values[class_id] = evaluate(w, vec)
-            row = (class_id, index_name, format_rational(values[class_id]))
+        values = {class_id: evaluate(w, vec) for class_id, vec in vectors.items()}
+        for class_id, value in values.items():
+            row = (class_id, index_name, format_rational(value))
             if approx:
-                row += (approx_rational(values[class_id]),)
+                row += (approx_rational(value),)
             values_sec.rows.append(row)
-        ordered = sorted(values.items(), key=lambda cv: (-cv[1], list(vectors).index(cv[0])))
-        rank = 0
-        previous = None
-        for position, (class_id, value) in enumerate(ordered, start=1):
-            if value != previous:
-                rank = position
-                previous = value
+        for rank, class_id, value in competition_ranks(values):
             ranking_sec.rows.append((index_name, str(rank), class_id, format_rational(value)))
 
 
-def _load_vectors(loaded: LoadedSpec) -> dict[str, CountVector]:
-    return {class_id: loaded.vector(class_id) for class_id in loaded.class_ids()}
+def _vectors(spec: Legislature) -> dict[str, CountVector]:
+    return {class_id: spec.critical_vector(class_id) for class_id in spec.class_ids()}
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    loaded = load_spec_file(args.specfile)
-    vectors = _load_vectors(loaded)
-    index_name, w = _resolve_index(args.index, loaded.total_players)
-    report = Report(_meta(args, "analyze", loaded.echo))
-    _spec_section(report, loaded)
+    spec = load_spec_file(args.specfile)
+    vectors = _vectors(spec)
+    index_name, w = _resolve_index(args.index, spec.total_players)
+    report = Report(_meta(args, "analyze", spec))
+    _spec_section(report, spec)
     elide = args.format != "json" and not args.full
     _vector_section(report, vectors, elide, args.approx)
     _index_sections(report, vectors, [(index_name, w)], args.approx)
@@ -148,16 +143,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    loaded = load_spec_file(args.specfile)
-    class_a = loaded.resolve_class(args.class_a)
-    class_b = loaded.resolve_class(args.class_b)
+    spec = load_spec_file(args.specfile)
+    class_a = resolve_class(spec, args.class_a)
+    class_b = resolve_class(spec, args.class_b)
     if class_a == class_b:
         raise SpecFileError("compare needs two distinct classes")
-    va = loaded.vector(class_a)
-    vb = loaded.vector(class_b)
+    va = spec.critical_vector(class_a)
+    vb = spec.critical_vector(class_b)
     relation = weak_desirability(va, vb)
 
-    report = Report(_meta(args, "compare", loaded.echo))
+    report = Report(_meta(args, "compare", spec))
     sec = report.section("comparison", "weak desirability", ("field", "value"))
     sec.rows.append(("first", class_a))
     sec.rows.append(("second", class_b))
@@ -165,7 +160,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if relation.witness is not None:
         sec.rows.append(("first_ahead_at", str(relation.witness[0])))
         sec.rows.append(("second_ahead_at", str(relation.witness[1])))
-        pair = distinguishing_indices(va, vb, loaded.total_players)
+        pair = distinguishing_indices(va, vb, spec.total_players)
         dsec = report.section(
             "distinguishing_indices", "distinguishing point-mass indices",
             ("favours", "size", "weight"),
@@ -178,14 +173,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    loaded = load_spec_file(args.specfile)
-    game = loaded.game()
-    report = Report(_meta(args, "oracle", loaded.echo))
+    spec = load_spec_file(args.specfile)
+    game = oracle.from_spec(spec)
+    report = Report(_meta(args, "oracle", spec))
     sec = report.section("oracle", "closed form versus exhaustive enumeration",
                          ("class", "status", "detail"))
     mismatched = False
-    for class_id in loaded.class_ids():
-        closed = loaded.vector(class_id)
+    for class_id in spec.class_ids():
+        closed = spec.critical_vector(class_id)
         players = game.players(class_id)
         if not players:
             sec.rows.append((class_id, "match", "no players"))
@@ -195,10 +190,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             sec.rows.append((class_id, "match", f"{len(closed.support())} sizes"))
         else:
             mismatched = True
-            bad = next(
-                k for k in sorted(set(closed.support()) | set(enumerated.support()))
-                if closed[k] != enumerated[k]
-            )
+            bad = next(k for k, sign in size_signs(closed, enumerated).items() if sign)
             sec.rows.append((
                 class_id, "MISMATCH",
                 f"size {bad}: closed {closed[bad]}, enumerated {enumerated[bad]}",
@@ -219,29 +211,13 @@ def _sign_runs(signs: dict[int, int]) -> list[tuple[int, int, int]]:
 
 
 def cmd_us(args: argparse.Namespace) -> int:
-    spec = UsSpec(
-        senate_quota=args.qs if args.qs is not None else 51,
-        house_quota=args.qr if args.qr is not None else 218,
-        senate_override=args.os if args.os is not None else 67,
-        house_override=args.override_reps if args.override_reps is not None else 290,
-    )
-    echo = {
-        "chambers": [
-            {"name": "senate", "size": spec.senate_size, "quota": spec.senate_quota},
-            {"name": "house", "size": spec.house_size, "quota": spec.house_quota},
-        ],
-        "executive": {
-            "president": True,
-            "vice_president": True,
-            "override": {"senate": spec.senate_override, "house": spec.house_override},
-        },
-    }
-    loaded = LoadedSpec(None, spec, ("senate", "house"), echo)
-    vectors = _load_vectors(loaded)
+    spec = UsSpec(senate_quota=args.qs, house_quota=args.qr,
+                  senate_override=args.os, house_override=args.override_reps)
+    vectors = _vectors(spec)
     n = spec.total_players
 
-    report = Report(_meta(args, "us", echo))
-    _spec_section(report, loaded)
+    report = Report(_meta(args, "us", spec))
+    _spec_section(report, spec)
 
     verdicts = report.section("verdicts", "weak desirability verdicts",
                               ("first", "second", "relation"))
@@ -272,14 +248,9 @@ def cmd_crossover(args: argparse.Namespace) -> int:
         raise SpecFileError(f"need 1 <= --ms < --mr, got {m_small}, {m_large}")
     q_small = args.qs if args.qs is not None else majority_quota(m_small)
     q_large = args.qr if args.qr is not None else majority_quota(m_large)
-    try:
-        ChamberSpec("small", m_small, q_small)
-        ChamberSpec("large", m_large, q_large)
-    except ValueError as exc:
-        raise SpecFileError(str(exc)) from exc
     sizes = crossover_sizes(m_small, q_small, m_large, q_large)
 
-    report = Report(_meta(args, "crossover", None))
+    report = Report(_meta(args, "crossover"))
     sec = report.section("crossover", "larger-house advantage sizes", ("field", "value"))
     sec.rows.append(("small.size", str(m_small)))
     sec.rows.append(("small.quota", str(q_small)))
@@ -329,10 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_us = sub.add_parser("us", parents=[common],
                           help="built-in US-style system with optional quota overrides")
-    p_us.add_argument("--qs", type=int, help="senate signature quota (default 51)")
-    p_us.add_argument("--qr", type=int, help="house signature quota (default 218)")
-    p_us.add_argument("--os", type=int, help="senate override quota (default 67)")
-    p_us.add_argument("--or", type=int, dest="override_reps",
+    p_us.add_argument("--qs", type=int, default=51, help="senate signature quota (default 51)")
+    p_us.add_argument("--qr", type=int, default=218, help="house signature quota (default 218)")
+    p_us.add_argument("--os", type=int, default=67, help="senate override quota (default 67)")
+    p_us.add_argument("--or", type=int, default=290, dest="override_reps",
                       help="house override quota (default 290)")
     p_us.set_defaults(func=cmd_us)
 
@@ -352,12 +323,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except oracle.GameSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except CertificationMismatchError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

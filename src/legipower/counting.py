@@ -145,11 +145,6 @@ def joint_quota_vector(chambers: Iterable[tuple[int, int]]) -> CountVector:
     return template_counts(CoalitionTemplate(0, tuple(pools)))
 
 
-def joint_quota_count(chambers: Iterable[tuple[int, int]], k: int) -> int:
-    """Entry of ``joint_quota_vector`` at size k (0 when unreachable)."""
-    return joint_quota_vector(chambers)[k]
-
-
 def sum_counts(vectors: Iterable[CountVector]) -> CountVector:
     """Pointwise sum; callers guarantee the summed families are disjoint."""
     acc: dict[int, int] = {}

@@ -77,6 +77,13 @@ def _table_violations(table: np.ndarray, n: int) -> list[Violation]:
     return violations
 
 
+def _win_table(n: int, win: Callable[[int], bool]) -> np.ndarray:
+    """The predicate's value on every bitmask of n players, after the size check."""
+    if not 1 <= n <= MAX_PLAYERS:
+        raise GameSizeError(f"player count must be in [1, {MAX_PLAYERS}], got {n}")
+    return np.fromiter((bool(win(m)) for m in range(1 << n)), dtype=bool, count=1 << n)
+
+
 def find_violations(labels: Sequence[str], win: Callable[[int], bool]) -> list[Violation]:
     """Exhaustively audit a win predicate without constructing a game.
 
@@ -84,11 +91,7 @@ def find_violations(labels: Sequence[str], win: Callable[[int], bool]) -> list[V
     coalition.  Returns witnesses for every broken axiom (one per bit
     direction for monotonicity), or an empty list.
     """
-    n = len(labels)
-    if not 1 <= n <= MAX_PLAYERS:
-        raise GameSizeError(f"player count must be in [1, {MAX_PLAYERS}], got {n}")
-    table = np.fromiter((bool(win(m)) for m in range(1 << n)), dtype=bool, count=1 << n)
-    return _table_violations(table, n)
+    return _table_violations(_win_table(len(labels), win), len(labels))
 
 
 class SimpleGame:
@@ -96,9 +99,7 @@ class SimpleGame:
 
     def __init__(self, labels: Sequence[str], win: Callable[[int], bool]):
         n = len(labels)
-        if not 1 <= n <= MAX_PLAYERS:
-            raise GameSizeError(f"player count must be in [1, {MAX_PLAYERS}], got {n}")
-        table = np.fromiter((bool(win(m)) for m in range(1 << n)), dtype=bool, count=1 << n)
+        table = _win_table(n, win)
         violations = _table_violations(table, n)
         if violations:
             raise GameAxiomError(violations)

@@ -2,14 +2,15 @@
 
 Reports are built as ordered sections of rows holding pre-formatted exact
 values (integers and rationals as strings), so every renderer emits byte-for-
-byte identical output for identical inputs.  The CSV schema is fixed at five
-columns: section, field1, field2, value, approx.
+byte identical output for identical inputs.  The CSV schema is fixed at six
+columns: section, field1, field2, field3, value, approx.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 ELIDE_DIGITS = 120
@@ -52,7 +53,10 @@ def approx_rational(value: Fraction) -> str:
 
 
 def approx_int(value: int) -> str:
-    return f"{float(value):.6e}"
+    try:
+        return f"{float(value):.6e}"
+    except OverflowError:  # above the float range: round the exact integer
+        return format(Decimal(value), ".6e")
 
 
 def _csv_quote(cell: str) -> str:

@@ -79,6 +79,19 @@ def evaluate(w: WeightingVector, cv: CountVector) -> Fraction:
     return sum((w.weight(k) * v for k, v in cv.items()), Fraction(0))
 
 
+def competition_ranks(values: dict) -> list[tuple[int, object, Fraction]]:
+    """(rank, key, value) from the highest value to the lowest.
+
+    Equal values share the best rank of their group and the next group's rank
+    skips past them (1, 2, 2, 4); tied keys stay in the order of ``values``.
+    """
+    ranked: list[tuple[int, object, Fraction]] = []
+    for position, (key, value) in enumerate(sorted(values.items(), key=lambda kv: -kv[1]), 1):
+        tied = ranked and ranked[-1][2] == value
+        ranked.append((ranked[-1][0] if tied else position, key, value))
+    return ranked
+
+
 class Dominance(Enum):
     STRICTLY_ABOVE = "strictly-above"
     WEAKLY_ABOVE = "weakly-above"
@@ -105,6 +118,12 @@ class Relation:
             raise ValueError("witness is present exactly for INCOMPARABLE relations")
 
 
+def size_signs(ci: CountVector, cj: CountVector) -> dict[int, int]:
+    """Sign of ci[k] - cj[k] at every size, ascending, where either vector is nonzero."""
+    sizes = sorted(set(ci.support()) | set(cj.support()))
+    return {k: (ci[k] > cj[k]) - (ci[k] < cj[k]) for k in sizes}
+
+
 def weak_desirability(ci: CountVector, cj: CountVector) -> Relation:
     """Coordinatewise comparison of two critical vectors.
 
@@ -113,14 +132,14 @@ def weak_desirability(ci: CountVector, cj: CountVector) -> Relation:
     some such size.  The BELOW kinds are the mirror images, and INCOMPARABLE
     reports a witness pair of sizes won by opposite sides.
     """
-    sizes = sorted(set(ci.support()) | set(cj.support()))
-    above = [k for k in sizes if ci[k] > cj[k]]
-    below = [k for k in sizes if ci[k] < cj[k]]
+    signs = size_signs(ci, cj)
+    above = [k for k, s in signs.items() if s > 0]
+    below = [k for k, s in signs.items() if s < 0]
     if above and below:
         return Relation(Dominance.INCOMPARABLE, (above[0], below[0]))
     if not above and not below:
         return Relation(Dominance.EQUAL)
-    strict = all(ci[k] != cj[k] for k in sizes if ci[k] or cj[k])
+    strict = 0 not in signs.values()
     if above:
         return Relation(Dominance.STRICTLY_ABOVE if strict else Dominance.WEAKLY_ABOVE)
     return Relation(Dominance.STRICTLY_BELOW if strict else Dominance.WEAKLY_BELOW)

@@ -2,22 +2,21 @@
 
 A spec file is a JSON document with a ``chambers`` list and an optional
 ``executive`` block; unknown keys are rejected so that a typo cannot silently
-change the model.  Files without an executive load as plain multicameral
-legislatures; files with one load as US-style systems, with the first chamber
-acting as the vice president's tie-break chamber.
+change the model, and a key given twice in one object is an error.  Files
+without an executive load as a ``MulticamSpec``; files with one load as a
+``UsSpec``, with the first chamber acting as the vice president's tie-break
+chamber.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .chambers import ChamberSpec, MulticamSpec, member_critical_vector
-from .counting import CountVector
+from .chambers import ChamberSpec, MulticamSpec
 from .semivalues import WeightingVector
-from .uslike import PlayerClass, UsSpec, class_critical_vector
+from .uslike import UsSpec
 
 
 class SpecFileError(ValueError):
@@ -50,59 +49,31 @@ def _require_bool(value: object, where: str) -> bool:
     return value
 
 
-@dataclass(frozen=True)
-class LoadedSpec:
-    """A validated spec file, exposing a uniform class-vector surface."""
-
-    multicam: MulticamSpec | None
-    us: UsSpec | None
-    chamber_names: tuple[str, ...]
-    echo: dict
-
-    @property
-    def kind(self) -> str:
-        return "us" if self.us is not None else "multicam"
-
-    @property
-    def total_players(self) -> int:
-        if self.us is not None:
-            return self.us.total_players
-        return self.multicam.total_players
-
-    def class_ids(self) -> tuple[str, ...]:
-        if self.us is None:
-            return self.chamber_names
-        return tuple(cls.value for cls in self.us.classes())
-
-    def resolve_class(self, name: str) -> str:
-        """Map a user-supplied class name to a canonical class id."""
-        ids = self.class_ids()
-        by_lower = {i.lower(): i for i in ids}
-        key = _ALIASES.get(name.lower(), name.lower())
-        if key in by_lower:
-            return by_lower[key]
-        if self.us is not None:
-            by_chamber = {
-                self.chamber_names[0].lower(): PlayerClass.SENATOR.value,
-                self.chamber_names[1].lower(): PlayerClass.REPRESENTATIVE.value,
-            }
-            if key in by_chamber:
-                return by_chamber[key]
-        raise SpecFileError(f"unknown player class {name!r}; known: {', '.join(ids)}")
-
-    def vector(self, class_id: str) -> CountVector:
-        if self.us is not None:
-            return class_critical_vector(self.us, PlayerClass(class_id))
-        return member_critical_vector(self.multicam, class_id)
-
-    def game(self):
-        from . import oracle
-
-        return oracle.from_spec(self.us if self.us is not None else self.multicam)
+Legislature = MulticamSpec | UsSpec
 
 
-def parse_spec(document: dict) -> LoadedSpec:
-    """Validate a parsed JSON document into a LoadedSpec."""
+def resolve_class(spec: Legislature, name: str) -> str:
+    """Map a user-supplied class name to one of the spec's class ids.
+
+    Class ids and the short aliases match case-insensitively, and so does a
+    chamber's name, standing for the class of its members.
+    """
+    ids = spec.class_ids()
+    chambers = [c["name"] for c in spec.to_document()["chambers"]]
+    # The chambers' member classes are the last class ids, in chamber order.
+    by_name = {c.lower(): i for c, i in zip(chambers, ids[-len(chambers):])}
+    by_name.update({i.lower(): i for i in ids})
+    key = _ALIASES.get(name.lower(), name.lower())
+    if key in by_name:
+        return by_name[key]
+    raise SpecFileError(f"unknown player class {name!r}; known: {', '.join(ids)}")
+
+
+def parse_spec(document: object) -> Legislature:
+    """Validate a parsed JSON document into a spec.
+
+    Every accepted document round-trips: ``parse_spec(doc).to_document() == doc``.
+    """
     if not isinstance(document, dict):
         raise SpecFileError("top level: expected an object")
     unknown = set(document) - _TOP_KEYS
@@ -132,13 +103,12 @@ def parse_spec(document: dict) -> LoadedSpec:
             chambers.append(ChamberSpec(name, size, quota))
         except ValueError as exc:
             raise SpecFileError(f"{where}: {exc}") from exc
+    names = [c.name for c in chambers]
+    if len(set(names)) != len(names):
+        raise SpecFileError(f"chambers: chamber names must be unique, got {names}")
 
     if "executive" not in document:
-        try:
-            multicam = MulticamSpec(tuple(chambers))
-        except ValueError as exc:
-            raise SpecFileError(f"chambers: {exc}") from exc
-        return LoadedSpec(multicam, None, tuple(c.name for c in chambers), document)
+        return MulticamSpec(tuple(chambers))
 
     executive = document["executive"]
     if not isinstance(executive, dict):
@@ -158,7 +128,6 @@ def parse_spec(document: dict) -> LoadedSpec:
     override = executive["override"]
     if not isinstance(override, dict):
         raise SpecFileError("executive.override: expected an object")
-    names = [c.name for c in chambers]
     unknown = set(override) - set(names)
     if unknown:
         raise SpecFileError(f"executive.override: unknown chambers {sorted(unknown)}")
@@ -170,7 +139,7 @@ def parse_spec(document: dict) -> LoadedSpec:
     }
     senate, house = chambers
     try:
-        us = UsSpec(
+        return UsSpec(
             senate_size=senate.size,
             house_size=house.size,
             senate_quota=senate.quota,
@@ -179,22 +148,34 @@ def parse_spec(document: dict) -> LoadedSpec:
             house_override=overrides[house.name],
             has_president=has_president,
             has_vp=has_vp,
+            senate_name=senate.name,
+            house_name=house.name,
         )
     except ValueError as exc:
         raise SpecFileError(f"executive: {exc}") from exc
-    return LoadedSpec(None, us, (senate.name, house.name), document)
 
 
-def load_spec_file(path: str | Path) -> LoadedSpec:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise SpecFileError(f"duplicate key {key!r}")
+        document[key] = value
+    return document
+
+
+def load_spec_file(path: str | Path) -> Legislature:
     """Read, parse, and validate a spec file."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}: invalid JSON: {exc}") from exc
+    except SpecFileError as exc:
+        raise SpecFileError(f"{path}: {exc}") from exc
     return parse_spec(document)
 
 

@@ -17,7 +17,14 @@ from fractions import Fraction
 from typing import Iterable
 
 from .counting import CoalitionTemplate, CountVector, PoolConstraint, sum_counts, template_counts
-from .semivalues import Relation, WeightingVector, evaluate, weak_desirability
+from .semivalues import (
+    Relation,
+    WeightingVector,
+    competition_ranks,
+    evaluate,
+    size_signs,
+    weak_desirability,
+)
 
 
 class PlayerClass(Enum):
@@ -45,10 +52,15 @@ class UsSpec:
     house_override: int = 290
     has_president: bool = True
     has_vp: bool = True
+    senate_name: str = "senate"
+    house_name: str = "house"
 
     def __post_init__(self) -> None:
         if self.senate_size < 1 or self.house_size < 1:
             raise ValueError("chamber sizes must be >= 1")
+        names = [self.senate_name, self.house_name]
+        if not all(names) or names[0] == names[1]:
+            raise ValueError(f"chamber names must be nonempty and unique, got {names}")
         for label, quota, size in (
             ("senate_quota", self.senate_quota, self.senate_size),
             ("house_quota", self.house_quota, self.house_size),
@@ -81,6 +93,29 @@ class UsSpec:
         out.append(PlayerClass.SENATOR)
         out.append(PlayerClass.REPRESENTATIVE)
         return tuple(out)
+
+    def class_ids(self) -> tuple[str, ...]:
+        """The classes' ids; the senators' and representatives' come last, in
+        chamber order."""
+        return tuple(cls.value for cls in self.classes())
+
+    def critical_vector(self, class_id: str) -> CountVector:
+        return class_critical_vector(self, PlayerClass(class_id))
+
+    def to_document(self) -> dict:
+        """The spec-file document describing this system."""
+        return {
+            "chambers": [
+                {"name": self.senate_name, "size": self.senate_size, "quota": self.senate_quota},
+                {"name": self.house_name, "size": self.house_size, "quota": self.house_quota},
+            ],
+            "executive": {
+                "president": self.has_president,
+                "vice_president": self.has_vp,
+                "override": {self.senate_name: self.senate_override,
+                             self.house_name: self.house_override},
+            },
+        }
 
 
 # A rectangle of (senate count, house count) cells, all bounds inclusive.
@@ -140,21 +175,12 @@ def _win_region(spec: UsSpec, p_in: bool, v_in: bool) -> list[_Rect]:
     return _region_union(region, [override])
 
 
-def _shift_senate(region: list[_Rect], m_s: int) -> list[_Rect]:
-    # Cells whose senate neighbour one below is winning.
-    return [
-        _Rect(r.s_lo + 1, min(r.s_hi + 1, m_s), r.r_lo, r.r_hi)
-        for r in region
-        if r.s_lo + 1 <= m_s
-    ]
-
-
-def _shift_house(region: list[_Rect], m_r: int) -> list[_Rect]:
-    return [
-        _Rect(r.s_lo, r.s_hi, r.r_lo + 1, min(r.r_hi + 1, m_r))
-        for r in region
-        if r.r_lo + 1 <= m_r
-    ]
+def _shift(region: list[_Rect], ds: int, dr: int, m_s: int, m_r: int) -> list[_Rect]:
+    # Cells whose neighbour (ds, dr) below lies in the region.
+    bounds = _Rect(0, m_s, 0, m_r)
+    moved = (_intersect(_Rect(r.s_lo + ds, r.s_hi + ds, r.r_lo + dr, r.r_hi + dr), bounds)
+             for r in region)
+    return [r for r in moved if r is not None]
 
 
 def _patterns(spec: UsSpec) -> list[tuple[bool, bool]]:
@@ -163,68 +189,45 @@ def _patterns(spec: UsSpec) -> list[tuple[bool, bool]]:
     return [(p, v) for p in p_opts for v in v_opts]
 
 
-def _require_class(spec: UsSpec, cls: PlayerClass) -> None:
-    if cls is PlayerClass.PRESIDENT and not spec.has_president:
-        raise ValueError("spec has no president")
-    if cls is PlayerClass.VICE_PRESIDENT and not spec.has_vp:
-        raise ValueError("spec has no vice president")
+# What one player of each class adds to a coalition: (president flag, VP flag,
+# senate seats, house seats).
+_FOCAL = {
+    PlayerClass.PRESIDENT: (1, 0, 0, 0),
+    PlayerClass.VICE_PRESIDENT: (0, 1, 0, 0),
+    PlayerClass.SENATOR: (0, 0, 1, 0),
+    PlayerClass.REPRESENTATIVE: (0, 0, 0, 1),
+}
 
 
 def critical_templates(spec: UsSpec, cls: PlayerClass) -> tuple[CoalitionTemplate, ...]:
     """Disjoint coalition-template rows whose union is the class's critical family.
 
-    Each template fixes one membership pattern of the president and vice
-    president plus a rectangle of (senate count, house count) cells in which
-    the focal player is critical; the focal chamber member is counted inside
-    its own chamber's cell coordinate.
+    A player is critical where the coalition wins with it and loses without
+    it.  For each membership pattern of the president and vice president that
+    contains the focal player, the critical cells are the winning (senate
+    count, house count) cells minus those that still win once the focal
+    player leaves: for the president or vice president that clears a flag,
+    for a chamber member it moves the cell one seat down and takes the member
+    out of its own chamber's pool.
     """
-    _require_class(spec, cls)
+    if cls not in spec.classes():
+        raise ValueError(f"spec has no {cls.value.replace('_', ' ')}")
+    dp, dv, ds, dr = _FOCAL[cls]
     m_s, m_r = spec.senate_size, spec.house_size
     rows: list[CoalitionTemplate] = []
     for p_in, v_in in _patterns(spec):
+        if p_in < dp or v_in < dv:
+            continue
         win = _win_region(spec, p_in, v_in)
-        if cls is PlayerClass.PRESIDENT:
-            if not p_in:
+        without = _shift(_win_region(spec, p_in - dp, v_in - dv), ds, dr, m_s, m_r)
+        for r in _region_subtract(win, without):
+            cell = _intersect(r, _Rect(ds, m_s, dr, m_r))
+            if cell is None:
                 continue
-            crit = _region_subtract(win, _win_region(spec, False, v_in))
-            fixed = 1 + v_in
-            for r in crit:
-                rows.append(CoalitionTemplate(fixed, (
-                    PoolConstraint(m_s, r.s_lo, r.s_hi),
-                    PoolConstraint(m_r, r.r_lo, r.r_hi),
-                )))
-        elif cls is PlayerClass.VICE_PRESIDENT:
-            if not v_in:
-                continue
-            crit = _region_subtract(win, _win_region(spec, p_in, False))
-            fixed = 1 + p_in
-            for r in crit:
-                rows.append(CoalitionTemplate(fixed, (
-                    PoolConstraint(m_s, r.s_lo, r.s_hi),
-                    PoolConstraint(m_r, r.r_lo, r.r_hi),
-                )))
-        elif cls is PlayerClass.SENATOR:
-            crit = _region_subtract(win, _shift_senate(win, m_s))
-            fixed = p_in + v_in
-            for r in crit:
-                clipped = _intersect(r, _Rect(1, m_s, 0, m_r))
-                if clipped is None:
-                    continue
-                rows.append(CoalitionTemplate(fixed + 1, (
-                    PoolConstraint(m_s - 1, clipped.s_lo - 1, clipped.s_hi - 1),
-                    PoolConstraint(m_r, clipped.r_lo, clipped.r_hi),
-                )))
-        else:
-            crit = _region_subtract(win, _shift_house(win, m_r))
-            fixed = p_in + v_in
-            for r in crit:
-                clipped = _intersect(r, _Rect(0, m_s, 1, m_r))
-                if clipped is None:
-                    continue
-                rows.append(CoalitionTemplate(fixed + 1, (
-                    PoolConstraint(m_s, clipped.s_lo, clipped.s_hi),
-                    PoolConstraint(m_r - 1, clipped.r_lo - 1, clipped.r_hi - 1),
-                )))
+            rows.append(CoalitionTemplate(p_in + v_in + ds + dr, (
+                PoolConstraint(m_s - ds, cell.s_lo - ds, cell.s_hi - ds),
+                PoolConstraint(m_r - dr, cell.r_lo - dr, cell.r_hi - dr),
+            )))
     return tuple(rows)
 
 
@@ -248,9 +251,8 @@ def ranking(spec: UsSpec, w: WeightingVector) -> tuple[tuple[PlayerClass, Fracti
     Sorting is by exact value; classes with equal values appear adjacent, in
     declaration order, and report layers render them as ties.
     """
-    values = [(cls, class_power(spec, cls, w)) for cls in spec.classes()]
-    order = {cls: i for i, cls in enumerate(PlayerClass)}
-    return tuple(sorted(values, key=lambda cv: (-cv[1], order[cv[0]])))
+    values = {cls: class_power(spec, cls, w) for cls in spec.classes()}
+    return tuple((cls, value) for _, cls, value in competition_ranks(values))
 
 
 def vp_rep_sign_table(spec: UsSpec) -> dict[int, int]:
@@ -259,11 +261,8 @@ def vp_rep_sign_table(spec: UsSpec) -> dict[int, int]:
     Covers every size where either vector is nonzero; +1 means the vice
     president is ahead, -1 the representative, 0 an exact tie.
     """
-    _require_class(spec, PlayerClass.VICE_PRESIDENT)
-    cv = class_critical_vector(spec, PlayerClass.VICE_PRESIDENT)
-    cr = class_critical_vector(spec, PlayerClass.REPRESENTATIVE)
-    sizes = sorted(set(cv.support()) | set(cr.support()))
-    return {k: (cv[k] > cr[k]) - (cv[k] < cr[k]) for k in sizes}
+    return size_signs(class_critical_vector(spec, PlayerClass.VICE_PRESIDENT),
+                      class_critical_vector(spec, PlayerClass.REPRESENTATIVE))
 
 
 def supermajority_scan(

@@ -193,6 +193,18 @@ class TestOracle:
         assert code == 0
         assert out.count("match") == 3
 
+    def test_mismatch_exits_1(self, capsys, write_spec, monkeypatch):
+        from legipower import chambers
+        from legipower.counting import CountVector
+
+        monkeypatch.setattr(chambers, "member_critical_vector",
+                            lambda spec, chamber: CountVector({5: 20, 6: 9, 7: 2}))
+        code, out, _ = _run(capsys, "oracle", write_spec(BICAM), "--format", "json", "--no-meta")
+        assert code == 1
+        assert _rows(out, "oracle") == [
+            ["senate", "MISMATCH", "size 6: closed 9, enumerated 10"],
+        ]
+
     def test_full_us_exceeds_bound(self, capsys, write_spec):
         code, _, err = _run(capsys, "oracle", write_spec(FULL_US))
         assert code == 3
@@ -273,3 +285,48 @@ class TestCsvShape:
                             "--no-meta")
         lines = out.strip().splitlines()
         assert "critical_vectors,senate,5,,20," in lines
+
+
+class TestStrictSpecs:
+    def test_duplicate_json_key(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"chambers": [{"name": "senate", "size": 5, "quota": 3, "quota": 5}]}')
+        code, out, err = _run(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert "duplicate key 'quota'" in err
+
+    def test_duplicate_us_chamber_names(self, capsys, write_spec):
+        spec = json.loads(json.dumps(MINI_US))
+        for chamber in spec["chambers"]:
+            chamber["name"] = "x"
+        spec["executive"]["override"] = {"x": 4}
+        code, out, err = _run(capsys, "compare", write_spec(spec), "x", "vp")
+        assert (code, out) == (2, "")
+        assert "chamber names must be unique" in err
+
+
+class TestFailureExits:
+    def test_approx_above_float_range(self, capsys, write_spec):
+        spec = {"chambers": [
+            {"name": "upper", "size": 600, "quota": 301},
+            {"name": "lower", "size": 700, "quota": 351},
+        ]}
+        code, out, _ = _run(capsys, "analyze", write_spec(spec), "--approx",
+                            "--format", "json", "--no-meta")
+        assert code == 0
+        approx = {(r[0], r[1]): r[3] for r in _rows(out, "critical_vectors")}
+        assert approx[("upper", "652")] == "1.068181e+388"
+
+    def test_certificate_contradiction_is_an_internal_error(self, capsys, monkeypatch):
+        from legipower import chambers
+        from legipower.combinat import CertBasis, CertOutcome, CertVerdict
+
+        def wrong(m_a, q_a, m_b, q_b):
+            equal = CertVerdict(CertOutcome.CERTIFIED_EQUAL, CertBasis.MIN_SIZE_RATIO)
+            return {k: equal for k in range(q_a + q_b, max(q_a + m_b, q_b + m_a) + 1)}
+
+        monkeypatch.setattr(chambers, "certify_comparison", wrong)
+        code, out, err = _run(capsys, "crossover", "--ms", "101", "--mr", "150")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: internal: ")
+        assert err.count("\n") == 1

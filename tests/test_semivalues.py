@@ -21,6 +21,7 @@ from legipower import (
     weak_desirability,
 )
 from legipower.oracle import critical_vector, from_spec
+from legipower.semivalues import competition_ranks
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +82,20 @@ class TestEvaluate:
     def test_support_violation(self):
         with pytest.raises(ValueError):
             evaluate(banzhaf(3), CountVector({4: 1}))
+
+
+class TestCompetitionRanks:
+    def test_ties_share_a_rank_and_keep_their_order(self):
+        values = {"a": Fraction(1, 4), "b": Fraction(1, 2), "c": Fraction(1, 2), "d": Fraction(0)}
+        assert competition_ranks(values) == [
+            (1, "b", Fraction(1, 2)),
+            (1, "c", Fraction(1, 2)),
+            (3, "a", Fraction(1, 4)),
+            (4, "d", Fraction(0)),
+        ]
+
+    def test_empty(self):
+        assert competition_ranks({}) == []
 
 
 class TestWeakDesirability:

@@ -1,0 +1,153 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from legipower import ChamberSpec, MulticamSpec, PlayerClass, UsSpec
+from legipower.specfile import SpecFileError, load_spec_file, parse_spec, resolve_class
+
+_names = st.text(alphabet="abcxyzAB_-", min_size=1, max_size=6)
+
+
+@st.composite
+def _chamber_docs(draw, count):
+    names = draw(st.lists(_names, min_size=count, max_size=count, unique=True))
+    chambers = []
+    for name in names:
+        size = draw(st.integers(1, 40))
+        chambers.append({"name": name, "size": size, "quota": draw(st.integers(1, size))})
+    return chambers
+
+
+@st.composite
+def _documents(draw):
+    if draw(st.booleans()):
+        return {"chambers": draw(_chamber_docs(draw(st.integers(1, 4))))}
+    chambers = draw(_chamber_docs(2))
+    return {
+        "chambers": chambers,
+        "executive": {
+            "president": draw(st.booleans()),
+            "vice_president": draw(st.booleans()),
+            "override": {c["name"]: draw(st.integers(1, c["size"])) for c in chambers},
+        },
+    }
+
+
+_scalars = (st.none() | st.booleans() | st.integers(-3, 8)
+            | st.floats(allow_nan=False, allow_infinity=False) | _names)
+_keys = st.sampled_from(["chambers", "executive", "name", "size", "quota", "president",
+                         "vice_president", "override", "a", "b"]) | st.text(max_size=4)
+_json_values = st.recursive(
+    _scalars,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_keys, children, max_size=5),
+    max_leaves=25,
+)
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_documents())
+    def test_document_round_trip(self, doc):
+        spec = parse_spec(doc)
+        assert spec.to_document() == doc
+        assert parse_spec(spec.to_document()) == spec
+
+    def test_kind_follows_the_executive_block(self):
+        multicam = parse_spec({"chambers": [{"name": "a", "size": 3, "quota": 2}]})
+        assert multicam == MulticamSpec((ChamberSpec("a", 3, 2),))
+        us = parse_spec(UsSpec(4, 5, 3, 3, 4, 4, True, False, "upper", "lower").to_document())
+        assert us == UsSpec(4, 5, 3, 3, 4, 4, True, False, "upper", "lower")
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_json_values)
+    def test_only_specs_or_spec_errors(self, doc):
+        try:
+            spec = parse_spec(doc)
+        except SpecFileError:
+            return
+        assert isinstance(spec, (MulticamSpec, UsSpec))
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_documents(), path=st.sampled_from(["chambers", "executive"]), junk=_json_values)
+    def test_damaged_documents(self, doc, path, junk):
+        damaged = dict(doc, **{path: junk})
+        try:
+            parse_spec(damaged)
+        except SpecFileError:
+            pass
+
+
+class TestStrictness:
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"chambers": [{"name": "a", "size": 5, "quota": 3, "quota": 5}]}')
+        with pytest.raises(SpecFileError, match="duplicate key 'quota'"):
+            load_spec_file(path)
+
+    def test_duplicate_us_chamber_names_rejected(self):
+        doc = UsSpec(4, 5, 3, 3, 4, 4, True, True, "x", "y").to_document()
+        doc["chambers"][1]["name"] = "x"
+        doc["executive"]["override"] = {"x": 4}
+        with pytest.raises(SpecFileError, match="unique"):
+            parse_spec(doc)
+
+    def test_us_spec_needs_distinct_chamber_names(self):
+        with pytest.raises(ValueError, match="unique"):
+            UsSpec(senate_name="x", house_name="x")
+
+
+class TestResolveClass:
+    US = UsSpec(4, 5, 3, 3, 4, 4, True, True, "upper", "lower")
+
+    @pytest.mark.parametrize("name, class_id", [
+        ("vp", "vice_president"),
+        ("V", "vice_president"),
+        ("Vice-President", "vice_president"),
+        ("p", "president"),
+        ("sen", "senator"),
+        ("rep", "representative"),
+        ("upper", "senator"),
+        ("LOWER", "representative"),
+        ("Senator", "senator"),
+    ])
+    def test_us_names(self, name, class_id):
+        assert resolve_class(self.US, name) == class_id
+
+    def test_multicam_chamber_names(self):
+        spec = MulticamSpec((ChamberSpec("Senate", 3, 2), ChamberSpec("house", 5, 3)))
+        assert resolve_class(spec, "senate") == "Senate"
+        assert resolve_class(spec, "HOUSE") == "house"
+
+    def test_unknown_class_lists_the_known_ones(self):
+        spec = UsSpec(3, 4, 2, 3, 3, 4, True, False)
+        with pytest.raises(SpecFileError,
+                           match="unknown player class 'vp'; known: president, senator, "
+                                 "representative"):
+            resolve_class(spec, "vp")
+
+
+class TestSpecInterface:
+    def test_us_class_vectors(self):
+        spec = UsSpec(4, 5, 3, 3, 4, 4, True, True)
+        assert spec.class_ids() == tuple(cls.value for cls in PlayerClass)
+        assert spec.total_players == 11
+        assert all(spec.critical_vector(c) for c in spec.class_ids())
+
+    def test_multicam_class_vectors(self):
+        spec = MulticamSpec((ChamberSpec("a", 3, 2), ChamberSpec("b", 5, 3)))
+        assert spec.class_ids() == ("a", "b")
+        assert spec.critical_vector("a") == {5: 20, 6: 10, 7: 2}
+
+    def test_document_is_the_spec_file_shape(self):
+        assert UsSpec().to_document() == {
+            "chambers": [
+                {"name": "senate", "size": 100, "quota": 51},
+                {"name": "house", "size": 435, "quota": 218},
+            ],
+            "executive": {
+                "president": True,
+                "vice_president": True,
+                "override": {"senate": 67, "house": 290},
+            },
+        }
