@@ -24,6 +24,7 @@ from .combinat import (
     CertOutcome,
     CertVerdict,
     binomial,
+    binomial_row,
     certify_comparison,
     count_ratio,
     critical_product_greater,
@@ -81,6 +82,7 @@ __all__ = [
     "WeightingVector",
     "banzhaf",
     "binomial",
+    "binomial_row",
     "certify_comparison",
     "class_critical_vector",
     "class_power",

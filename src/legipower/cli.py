@@ -321,6 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Counts of chambers past about 14,000 seats have more digits than the
+    # interpreter's default limit on int-to-string conversion (4300, where the
+    # limit exists); reports print them in full, so the limit is lifted while
+    # the command runs and restored for in-process callers.
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except oracle.GameSizeError as exc:
@@ -332,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

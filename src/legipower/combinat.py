@@ -34,6 +34,27 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def binomial_row(n: int) -> list[int]:
+    """[C(n, 0), C(n, 1), ..., C(n, n)] in one pass.
+
+    Built with C(n, a+1) = C(n, a) * (n - a) // (a + 1), which is exact at
+    every step, up to the middle and mirrored from there: one multiplication
+    and one division by a small integer per entry instead of a fresh
+    ``math.comb`` each.
+
+    >>> binomial_row(4)
+    [1, 4, 6, 4, 1]
+    """
+    if n < 0:
+        raise ValueError(f"binomial_row requires n >= 0, got n={n}")
+    row = [1] * (n + 1)
+    c = 1
+    for a in range(n // 2):
+        c = c * (n - a) // (a + 1)
+        row[a + 1] = row[n - a - 1] = c
+    return row
+
+
 def _check_ratio_domain(size: int, quota: int, overshoot: int) -> None:
     if not 0 < quota < size:
         raise ValueError(f"need 0 < quota < size, got quota={quota}, size={size}")

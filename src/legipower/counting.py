@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
-from .combinat import binomial
+from .combinat import binomial_row
 
 
 class CountVector:
@@ -104,12 +104,11 @@ class CoalitionTemplate:
         object.__setattr__(self, "pools", tuple(self.pools))
 
 
-def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            key = i + j
-            out[key] = out.get(key, 0) + x * y
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    width = len(b)
+    for i, x in enumerate(a):
+        out[i:i + width] = [o + x * y for o, y in zip(out[i:i + width], b)]
     return out
 
 
@@ -120,14 +119,11 @@ def template_counts(template: CoalitionTemplate) -> CountVector:
     pool p within its range with fixed_count + sum(a_p) == k: the convolution
     of the pools' binomial rows, shifted by the fixed members.
     """
-    acc = {template.fixed_count: 1}
+    offset, acc = template.fixed_count, [1]
     for pool in template.pools:
-        row = {
-            a: binomial(pool.pool_size, a)
-            for a in range(pool.min_pick, pool.max_pick + 1)
-        }
-        acc = _convolve(acc, row)
-    return CountVector(acc)
+        offset += pool.min_pick
+        acc = _convolve(acc, binomial_row(pool.pool_size)[pool.min_pick:pool.max_pick + 1])
+    return CountVector(enumerate(acc, offset))
 
 
 def joint_quota_vector(chambers: Iterable[tuple[int, int]]) -> CountVector:

@@ -212,15 +212,19 @@ def _us_win(spec: UsSpec) -> tuple[list[str], Callable[[int], bool]]:
 
 
 def from_spec(spec: MulticamSpec | UsSpec) -> SimpleGame:
-    """Instantiate a spec as a labelled game with its exact passage rule."""
+    """Instantiate a spec as a labelled game with its exact passage rule.
+
+    The player bound is checked before any per-seat label or chamber mask is
+    built, so refusing a huge spec costs nothing that grows with its seats.
+    """
     if isinstance(spec, MulticamSpec):
-        labels, win = _multicam_win(spec)
+        build = _multicam_win
     elif isinstance(spec, UsSpec):
-        labels, win = _us_win(spec)
+        build = _us_win
     else:
         raise TypeError(f"expected MulticamSpec or UsSpec, got {type(spec).__name__}")
-    if len(labels) > MAX_PLAYERS:
+    if spec.total_players > MAX_PLAYERS:
         raise GameSizeError(
-            f"spec has {len(labels)} players, exhaustive bound is {MAX_PLAYERS}"
+            f"spec has {spec.total_players} players, exhaustive bound is {MAX_PLAYERS}"
         )
-    return SimpleGame(labels, win)
+    return SimpleGame(*build(spec))

@@ -8,12 +8,26 @@ conclusions are order-sensitive, so no tolerance is ever applied.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
 
-from .combinat import binomial
+from .combinat import binomial, binomial_row
 from .counting import CountVector
+
+
+def _weighted_sum(terms: Iterable[tuple[Fraction, int]]) -> Fraction:
+    """sum(w * v) over (weight, count) pairs, exactly.
+
+    Numerators are added as integers across each run of equal denominators,
+    so a run costs one ``Fraction``: a uniform vector costs one in all.
+    """
+    total = Fraction(0)
+    for den, run in groupby(terms, key=lambda t: t[0].denominator):
+        total += Fraction(sum(w.numerator * v for w, v in run), den)
+    return total
 
 
 @dataclass(frozen=True)
@@ -28,8 +42,7 @@ class WeightingVector:
             raise ValueError("a weighting vector needs at least one entry")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
-        n = len(self.weights)
-        total = sum((w * binomial(n - 1, k) for k, w in enumerate(self.weights)), Fraction(0))
+        total = _weighted_sum(zip(self.weights, binomial_row(len(self.weights) - 1)))
         if total != 1:
             raise ValueError(f"weights do not normalise: sum is {total}, expected 1")
 
@@ -55,7 +68,7 @@ def shapley_shubik(n: int) -> WeightingVector:
     """Weights 1 / (n * C(n-1, k-1)); the values of a game sum to 1."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return WeightingVector(tuple(Fraction(1, n * binomial(n - 1, k - 1)) for k in range(1, n + 1)))
+    return WeightingVector(tuple(Fraction(1, n * c) for c in binomial_row(n - 1)))
 
 
 def point_mass(n: int, size: int) -> WeightingVector:
@@ -76,7 +89,7 @@ def evaluate(w: WeightingVector, cv: CountVector) -> Fraction:
         raise ValueError(
             f"critical vector support [{lo}, {hi}] exceeds the index's player count {w.n}"
         )
-    return sum((w.weight(k) * v for k, v in cv.items()), Fraction(0))
+    return _weighted_sum((w.weights[k - 1], v) for k, v in cv.items())
 
 
 def competition_ranks(values: dict) -> list[tuple[int, object, Fraction]]:

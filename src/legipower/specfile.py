@@ -11,6 +11,7 @@ chamber.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -168,7 +169,7 @@ def load_spec_file(path: str | Path) -> Legislature:
     """Read, parse, and validate a spec file."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
     try:
         document = json.loads(text, object_pairs_hook=_unique_keys)
@@ -179,20 +180,32 @@ def load_spec_file(path: str | Path) -> Legislature:
     return parse_spec(document)
 
 
+# ``Fraction`` expands a decimal exponent into a power of ten, so one short
+# line such as "1e-999999999" would take minutes and gigabytes before the
+# normalisation check could reject it.  Exponents keep at most four digits.
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
+_MAX_EXPONENT_DIGITS = 4
+
+
 def load_weight_file(path: str | Path, n: int) -> WeightingVector:
     """Read a weighting vector: one exact rational per line, length n.
 
-    The normalisation identity is checked exactly; no tolerance is applied.
+    A line is anything ``Fraction`` accepts (``3/16``, ``0.25``, ``5e-3``),
+    with a decimal exponent of at most 9999 in magnitude.  The normalisation
+    identity is checked exactly; no tolerance is applied.
     """
     try:
         lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
     entries = [ln for ln in lines if ln]
     if len(entries) != n:
         raise SpecFileError(f"{path}: expected {n} weights, got {len(entries)}")
     weights = []
     for i, entry in enumerate(entries):
+        exponent = _EXPONENT.search(entry)
+        if exponent and len(exponent.group(1).replace("_", "").lstrip("0")) > _MAX_EXPONENT_DIGITS:
+            raise SpecFileError(f"{path}: line {i + 1}: exponent out of range: {entry!r}")
         try:
             weights.append(Fraction(entry))
         except (ValueError, ZeroDivisionError) as exc:

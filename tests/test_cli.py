@@ -205,6 +205,19 @@ class TestOracle:
             ["senate", "MISMATCH", "size 6: closed 9, enumerated 10"],
         ]
 
+    def test_bound_checked_before_building_the_predicate(self, capsys, write_spec, monkeypatch):
+        from legipower import oracle
+
+        def never(spec):
+            raise AssertionError("predicate built for a spec over the bound")
+
+        monkeypatch.setattr(oracle, "_multicam_win", never)
+        monkeypatch.setattr(oracle, "_us_win", never)
+        spec = {"chambers": [{"name": "hall", "size": 10_000_000, "quota": 5_000_001}]}
+        code, out, err = _run(capsys, "oracle", write_spec(spec), "--no-meta")
+        assert (code, out) == (3, "")
+        assert err == "error: spec has 10000000 players, exhaustive bound is 25\n"
+
     def test_full_us_exceeds_bound(self, capsys, write_spec):
         code, _, err = _run(capsys, "oracle", write_spec(FULL_US))
         assert code == 3
@@ -303,6 +316,25 @@ class TestStrictSpecs:
         code, out, err = _run(capsys, "compare", write_spec(spec), "x", "vp")
         assert (code, out) == (2, "")
         assert "chamber names must be unique" in err
+
+
+class TestLargeCounts:
+    # C(15000, 7500) has 4515 digits, past Python's default 4300-digit limit
+    # on int-to-string conversion.
+    ONE_CHAMBER = {"chambers": [{"name": "hall", "size": 15001, "quota": 7501}]}
+
+    def test_json_prints_every_digit(self, capsys, write_spec):
+        code, out, err = _run(capsys, "analyze", write_spec(self.ONE_CHAMBER),
+                              "--format", "json", "--no-meta")
+        assert (code, err) == (0, "")
+        [[_, size, count]] = _rows(out, "critical_vectors")
+        assert size == "7501" and len(count) > 4300
+
+    def test_full_table_prints_every_digit(self, capsys, write_spec):
+        code, out, err = _run(capsys, "analyze", write_spec(self.ONE_CHAMBER),
+                              "--format", "table", "--full", "--no-meta")
+        assert (code, err) == (0, "")
+        assert max(len(word) for word in out.split()) > 4300
 
 
 class TestFailureExits:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from legipower import (
     CertBasis,
     CertOutcome,
     binomial,
+    binomial_row,
     certify_comparison,
     count_ratio,
     critical_product_greater,
@@ -42,6 +44,16 @@ class TestBinomial:
         for n in range(1, 61):
             for k in range(n):
                 assert binomial(n, k + 1) * (k + 1) == binomial(n, k) * (n - k)
+
+
+class TestBinomialRow:
+    def test_matches_math_comb(self):
+        for n in [*range(201), 1999, 4000]:
+            assert binomial_row(n) == [math.comb(n, k) for k in range(n + 1)], n
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError):
+            binomial_row(-1)
 
 
 class TestRatios:

@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from legipower import (
     ChamberSpec,
@@ -62,6 +64,15 @@ class TestConstructors:
         with pytest.raises(ValueError):
             point_mass(3, 4)
 
+    @pytest.mark.parametrize("size", [1, 2000])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_normalisation_has_no_tolerance_at_4000_players(self, size, sign):
+        n = 4000
+        weights = [Fraction(1, 2 ** (n - 1))] * n
+        weights[size - 1] += sign * Fraction(1, 2 ** (n - 1)) ** 2
+        with pytest.raises(ValueError, match="do not normalise"):
+            WeightingVector(tuple(weights))
+
     def test_normalisation_identity_holds_for_constructors(self):
         for n in (1, 2, 3, 7, 12, 40):
             for w in (banzhaf(n), shapley_shubik(n), point_mass(n, (n + 1) // 2)):
@@ -69,7 +80,28 @@ class TestConstructors:
                 assert total == 1
 
 
+@st.composite
+def _weights_and_counts(draw):
+    """A normalised vector with mixed denominators, runs and zeros, and a count vector."""
+    n = draw(st.integers(1, 12))
+    raw = draw(st.lists(
+        st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 2, 3, 4, 6, 9])),
+        min_size=n, max_size=n,
+    ).filter(any))
+    total = sum(r * math.comb(n - 1, k) for k, r in enumerate(raw))
+    weights = WeightingVector(tuple(r / total for r in raw))
+    sizes = draw(st.lists(st.integers(1, n), unique=True))
+    counts = CountVector({k: draw(st.integers(0, 10 ** 40)) for k in sizes})
+    return weights, counts
+
+
 class TestEvaluate:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_weights_and_counts())
+    def test_equals_the_plain_sum(self, case):
+        w, cv = case
+        assert evaluate(w, cv) == sum((w.weight(k) * v for k, v in cv.items()), Fraction(0))
+
     def test_uniform_on_majority_counts(self):
         assert evaluate(banzhaf(3), CountVector({2: 2})) == Fraction(1, 2)
 

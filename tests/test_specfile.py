@@ -1,8 +1,18 @@
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legipower import ChamberSpec, MulticamSpec, PlayerClass, UsSpec
-from legipower.specfile import SpecFileError, load_spec_file, parse_spec, resolve_class
+from legipower import ChamberSpec, MulticamSpec, PlayerClass, UsSpec, WeightingVector
+from legipower.specfile import (
+    SpecFileError,
+    load_spec_file,
+    load_weight_file,
+    parse_spec,
+    resolve_class,
+)
 
 _names = st.text(alphabet="abcxyzAB_-", min_size=1, max_size=6)
 
@@ -78,11 +88,67 @@ class TestFuzz:
             pass
 
 
+# Lines that Fraction may or may not accept: rationals, decimals, exponents of
+# every magnitude, signs, underscores, spaces and junk.
+_weight_lines = st.one_of(
+    st.from_regex(r"\A ?[+-]?[0-9_]{1,6}( ?/ ?[0-9_]{1,6})? ?\Z"),
+    st.from_regex(r"\A[+-]?[0-9]{0,4}\.?[0-9]{0,4}([eE][+-]?[0-9_]{1,14})?\Z"),
+    st.sampled_from(["1/8", "1/4", "0", "1", "nan", "inf", "1/0", "0/0", "1e", "e5", "/", ""]),
+    st.text(max_size=12),
+)
+
+
+def _load_weights(data: bytes, n: int):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.txt"
+        path.write_bytes(data)
+        return load_weight_file(path, n)
+
+
+class TestWeightFileFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_weight_lines, max_size=6), n=st.integers(0, 6))
+    def test_lines_give_a_vector_or_a_spec_error(self, lines, n):
+        try:
+            w = _load_weights("\n".join(lines).encode(), n)
+        except SpecFileError:
+            return
+        assert isinstance(w, WeightingVector) and w.n == n
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=40), n=st.integers(0, 4))
+    def test_bytes_give_a_vector_or_a_spec_error(self, data, n):
+        try:
+            w = _load_weights(data, n)
+        except SpecFileError:
+            return
+        assert isinstance(w, WeightingVector) and w.n == n
+
+    def test_valid_file_loads(self):
+        w = _load_weights(b"1/4\n0.25\n\n 25e-2 \n", 3)
+        assert w.weights == (Fraction(1, 4),) * 3
+
+    @pytest.mark.parametrize("line", ["1e-999999999999", "5E+1_000_000_000", "1.0e99999"])
+    def test_huge_exponent_rejected_before_expansion(self, line):
+        with pytest.raises(SpecFileError, match="exponent out of range"):
+            _load_weights(f"{line}\n0\n".encode(), 2)
+
+    def test_invalid_utf8_is_a_spec_error(self):
+        with pytest.raises(SpecFileError):
+            _load_weights(b"\xff\xfe1/2\n1/2\n", 2)
+
+
 class TestStrictness:
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"chambers": [{"name": "a", "size": 5, "quota": 3, "quota": 5}]}')
         with pytest.raises(SpecFileError, match="duplicate key 'quota'"):
+            load_spec_file(path)
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b'\xff{"chambers": []}')
+        with pytest.raises(SpecFileError, match="spec.json: "):
             load_spec_file(path)
 
     def test_duplicate_us_chamber_names_rejected(self):
