@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 oracle mismatch, 2 input validation failure,
 3 capability bound exceeded, 4 internal error (an exact check contradicted
-another).
+another, or any other unexpected exception; the message names its type).
 """
 
 from __future__ import annotations
@@ -339,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

@@ -1,10 +1,13 @@
 """Brute-force ground truth for simple games over labelled players.
 
-Games are stored as an explicit win table over all 2^n coalitions, built by
-evaluating the win predicate on every bitmask, and the three axioms (empty
-coalition loses, grand coalition wins, monotonicity) are checked exhaustively
-at construction.  Everything downstream of the table is a full sweep of the
-subset space; nothing here shares code with the closed forms it validates.
+Games are stored as an explicit win table over all 2^n coalitions, and the
+three axioms (empty coalition loses, grand coalition wins, monotonicity) are
+checked exhaustively at construction.  A user's win predicate is evaluated
+on every bitmask.  A spec's table is built with numpy instead: every chamber
+holds a contiguous range of bits, so one popcount vector per chamber and a
+broadcast of the passage rule over the chambers give all 2^n outcomes.
+Everything downstream of the table is a full sweep of the subset space;
+nothing here shares code with the closed forms it validates.
 """
 
 from __future__ import annotations
@@ -58,29 +61,47 @@ def _players_of_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _popcounts(bits: int) -> np.ndarray:
+    """The number of set bits of every mask below 2^bits, as uint8, by doubling."""
+    counts = np.zeros(1, dtype=np.uint8)
+    for _ in range(bits):
+        counts = np.concatenate((counts, counts + 1))
+    return counts
+
+
+def _split(table: np.ndarray, pos: int) -> np.ndarray:
+    """A view of the table indexed [high, bit, low] by the mask's bits above,
+    at and below ``pos``."""
+    return table.reshape(-1, 2, 1 << pos)
+
+
 def _table_violations(table: np.ndarray, n: int) -> list[Violation]:
     violations: list[Violation] = []
     if table[0]:
         violations.append(Violation("empty-coalition-wins", ()))
     if not table[-1]:
         violations.append(Violation("grand-coalition-loses", tuple(range(1, n + 1))))
-    idx = np.arange(1 << n, dtype=np.uint32)
     for pos in range(n):
-        bit = 1 << pos
-        lower = idx[(idx & bit) == 0]
-        bad = table[lower] & ~table[lower | bit]
+        halves = _split(table, pos)
+        bad = halves[:, 0] & ~halves[:, 1]
         if bad.any():
-            mask = int(lower[np.argmax(bad)])
+            # Row-major order of (high, low) is mask order: the smallest witness.
+            high, low = divmod(int(np.argmax(bad)), 1 << pos)
+            mask = (high << (pos + 1)) | low
             violations.append(Violation(
-                "not-monotone", _players_of_mask(mask), _players_of_mask(mask | bit)
+                "not-monotone", _players_of_mask(mask), _players_of_mask(mask | 1 << pos)
             ))
     return violations
 
 
-def _win_table(n: int, win: Callable[[int], bool]) -> np.ndarray:
-    """The predicate's value on every bitmask of n players, after the size check."""
+def _check_players(n: int) -> None:
     if not 1 <= n <= MAX_PLAYERS:
         raise GameSizeError(f"player count must be in [1, {MAX_PLAYERS}], got {n}")
+
+
+def _win_table(n: int, win: Callable[[int], bool]) -> np.ndarray:
+    """The predicate's value on every bitmask of n players, after the size check."""
+    _check_players(n)
     return np.fromiter((bool(win(m)) for m in range(1 << n)), dtype=bool, count=1 << n)
 
 
@@ -89,17 +110,38 @@ def find_violations(labels: Sequence[str], win: Callable[[int], bool]) -> list[V
 
     ``win`` receives a bitmask; bit i-1 set means player i is in the
     coalition.  Returns witnesses for every broken axiom (one per bit
-    direction for monotonicity), or an empty list.
+    direction for monotonicity, the smallest violating mask), or an empty
+    list.
     """
     return _table_violations(_win_table(len(labels), win), len(labels))
 
 
 class SimpleGame:
-    """An explicit simple game; construction validates the axioms exhaustively."""
+    """An explicit simple game; construction validates the axioms exhaustively.
+
+    ``win`` receives a bitmask; bit i-1 set means player i is in the
+    coalition.  ``from_table`` takes the outcomes of all bitmasks at once.
+    """
 
     def __init__(self, labels: Sequence[str], win: Callable[[int], bool]):
+        self._adopt(labels, _win_table(len(labels), win))
+
+    @classmethod
+    def from_table(cls, labels: Sequence[str], table: np.ndarray) -> "SimpleGame":
+        """The game whose bitmask m wins iff ``table[m]``; the game keeps the array."""
+        game = cls.__new__(cls)
+        game._adopt(labels, table)
+        return game
+
+    def _adopt(self, labels: Sequence[str], table: np.ndarray) -> None:
         n = len(labels)
-        table = _win_table(n, win)
+        _check_players(n)
+        table = np.asarray(table)
+        if table.dtype != bool or table.shape != (1 << n,):
+            raise ValueError(
+                f"a win table of {n} players is a bool array of shape ({1 << n},), "
+                f"got {table.dtype} {table.shape}"
+            )
         violations = _table_violations(table, n)
         if violations:
             raise GameAxiomError(violations)
@@ -140,91 +182,67 @@ def critical_vector(game: SimpleGame, player: int) -> CountVector:
     """Exact counts, per size, of winning coalitions that lose without ``player``."""
     if not 1 <= player <= game.n:
         raise ValueError(f"player index {player} out of range [1, {game.n}]")
-    bit = 1 << (player - 1)
-    idx = np.arange(1 << game.n, dtype=np.uint32)
-    members = idx[(idx & bit) != 0]
-    crit = game._table[members] & ~game._table[members ^ bit]
-    sizes = np.bitwise_count(members[crit]).astype(np.int64)
-    counts = np.bincount(sizes)
-    return CountVector({int(k): int(c) for k, c in enumerate(counts) if c})
+    halves = _split(game._table, player - 1)
+    # Indexed by the coalition's mask with the player's bit taken out.
+    critical = (halves[:, 1] & ~halves[:, 0]).ravel()
+    others = _popcounts(game.n - 1)[critical]
+    return CountVector((k + 1, int(np.count_nonzero(others == k))) for k in range(game.n))
 
 
 def minimal_winning(game: SimpleGame) -> set[frozenset[int]]:
     """All winning coalitions none of whose proper subsets win."""
-    idx = np.arange(1 << game.n, dtype=np.uint32)
     minimal = game._table.copy()
     for pos in range(game.n):
-        bit = 1 << pos
-        members = idx[(idx & bit) != 0]
-        minimal[members] &= ~game._table[members ^ bit]
-    return {frozenset(_players_of_mask(int(m))) for m in idx[minimal]}
+        with_player = _split(minimal, pos)[:, 1]
+        with_player &= ~_split(game._table, pos)[:, 0]
+    return {frozenset(_players_of_mask(int(m))) for m in np.flatnonzero(minimal)}
 
 
-def _multicam_win(spec: MulticamSpec) -> tuple[list[str], Callable[[int], bool]]:
+def _multicam_table(spec: MulticamSpec) -> tuple[list[str], np.ndarray]:
     labels: list[str] = []
-    chamber_masks: list[tuple[int, int]] = []
-    offset = 0
+    table = np.ones(1, dtype=bool)
     for chamber in spec.chambers:
         labels.extend([chamber.name] * chamber.size)
-        mask = ((1 << chamber.size) - 1) << offset
-        chamber_masks.append((mask, chamber.quota))
-        offset += chamber.size
-
-    def win(m: int) -> bool:
-        return all((m & mask).bit_count() >= quota for mask, quota in chamber_masks)
-
-    return labels, win
+        # Each chamber takes the bits above the previous ones: the outer axis.
+        passes = _popcounts(chamber.size) >= chamber.quota
+        table = np.logical_and.outer(passes, table).ravel()
+    return labels, table
 
 
-def _us_win(spec: UsSpec) -> tuple[list[str], Callable[[int], bool]]:
-    labels: list[str] = []
-    offset = 0
-    p_bit = v_bit = 0
-    if spec.has_president:
-        labels.append(PlayerClass.PRESIDENT.value)
-        p_bit = 1 << offset
-        offset += 1
-    if spec.has_vp:
-        labels.append(PlayerClass.VICE_PRESIDENT.value)
-        v_bit = 1 << offset
-        offset += 1
-    labels.extend([PlayerClass.SENATOR.value] * spec.senate_size)
-    s_mask = ((1 << spec.senate_size) - 1) << offset
-    offset += spec.senate_size
-    labels.extend([PlayerClass.REPRESENTATIVE.value] * spec.house_size)
-    r_mask = ((1 << spec.house_size) - 1) << offset
-
+def _us_table(spec: UsSpec) -> tuple[list[str], np.ndarray]:
+    labels = (
+        [PlayerClass.PRESIDENT.value] * spec.has_president
+        + [PlayerClass.VICE_PRESIDENT.value] * spec.has_vp
+        + [PlayerClass.SENATOR.value] * spec.senate_size
+        + [PlayerClass.REPRESENTATIVE.value] * spec.house_size
+    )
+    # Axes from the highest bits down: house, senate, VP, president.  An
+    # absent executive has an axis of length one that holds only "absent".
+    r = _popcounts(spec.house_size)[:, None, None, None]
+    s = _popcounts(spec.senate_size)[:, None, None]
+    v = np.array([False, True][: 1 + spec.has_vp])[:, None]
+    p = np.array([False, True][: 1 + spec.has_president])
     q_s, q_r = spec.senate_quota, spec.house_quota
-    o_s, o_r = spec.senate_override, spec.house_override
-    tie_count = spec.senate_size // 2
-
-    def win(m: int) -> bool:
-        s = (m & s_mask).bit_count()
-        r = (m & r_mask).bit_count()
-        if s >= o_s and r >= o_r:
-            return True
-        if not (p_bit and m & p_bit):
-            return False
-        senate_ok = s >= q_s or (bool(v_bit and m & v_bit) and s == q_s - 1 and q_s - 1 == tie_count)
-        return senate_ok and r >= q_r
-
-    return labels, win
+    override = (s >= spec.senate_override) & (r >= spec.house_override)
+    tie_break = v & (s == q_s - 1) & (q_s - 1 == spec.senate_size // 2)
+    signature = p & ((s >= q_s) | tie_break) & (r >= q_r)
+    return labels, (override | signature).ravel()
 
 
 def from_spec(spec: MulticamSpec | UsSpec) -> SimpleGame:
     """Instantiate a spec as a labelled game with its exact passage rule.
 
-    The player bound is checked before any per-seat label or chamber mask is
-    built, so refusing a huge spec costs nothing that grows with its seats.
+    The player bound is checked before any per-seat label or table is built,
+    so refusing a huge spec costs nothing that grows with its seats.
     """
     if isinstance(spec, MulticamSpec):
-        build = _multicam_win
+        build = _multicam_table
     elif isinstance(spec, UsSpec):
-        build = _us_win
+        build = _us_table
     else:
         raise TypeError(f"expected MulticamSpec or UsSpec, got {type(spec).__name__}")
     if spec.total_players > MAX_PLAYERS:
         raise GameSizeError(
             f"spec has {spec.total_players} players, exhaustive bound is {MAX_PLAYERS}"
         )
-    return SimpleGame(*build(spec))
+    return SimpleGame.from_table(*build(spec))

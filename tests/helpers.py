@@ -1,12 +1,16 @@
 """Independent oracles used to freeze expected values.
 
 Everything here deliberately avoids the library's code paths: binomials come
-from the Pascal recurrence, template counts from explicit subset enumeration.
+from the Pascal recurrence, template counts from explicit subset enumeration,
+and the passage rules below are evaluated one bitmask at a time, the way the
+enumeration oracle's tables are defined.
 """
 
 from __future__ import annotations
 
-from legipower import CoalitionTemplate, UsSpec
+from typing import Callable
+
+from legipower import CoalitionTemplate, MulticamSpec, UsSpec
 
 # Small US-style systems (at most 14 players) covering both executive flags
 # and every ordering of signature versus override quotas.
@@ -55,3 +59,59 @@ def enumerate_template_counts(template: CoalitionTemplate) -> dict[int, int]:
             k = template.fixed_count + mask.bit_count()
             counts[k] = counts.get(k, 0) + 1
     return counts
+
+
+def multicam_rule(spec: MulticamSpec) -> tuple[list[str], Callable[[int], bool]]:
+    """Labels and per-bitmask passage rule of a multicameral spec; the first
+    chamber takes the lowest bits."""
+    labels: list[str] = []
+    chamber_masks: list[tuple[int, int]] = []
+    offset = 0
+    for chamber in spec.chambers:
+        labels.extend([chamber.name] * chamber.size)
+        mask = ((1 << chamber.size) - 1) << offset
+        chamber_masks.append((mask, chamber.quota))
+        offset += chamber.size
+
+    def win(m: int) -> bool:
+        return all((m & mask).bit_count() >= quota for mask, quota in chamber_masks)
+
+    return labels, win
+
+
+def us_rule(spec: UsSpec) -> tuple[list[str], Callable[[int], bool]]:
+    """Labels and per-bitmask passage rule of a US-style spec; the president,
+    the vice president, the senators and the representatives take the bits
+    from the lowest up."""
+    labels: list[str] = []
+    offset = 0
+    p_bit = v_bit = 0
+    if spec.has_president:
+        labels.append("president")
+        p_bit = 1 << offset
+        offset += 1
+    if spec.has_vp:
+        labels.append("vice_president")
+        v_bit = 1 << offset
+        offset += 1
+    labels.extend(["senator"] * spec.senate_size)
+    s_mask = ((1 << spec.senate_size) - 1) << offset
+    offset += spec.senate_size
+    labels.extend(["representative"] * spec.house_size)
+    r_mask = ((1 << spec.house_size) - 1) << offset
+
+    q_s, q_r = spec.senate_quota, spec.house_quota
+    o_s, o_r = spec.senate_override, spec.house_override
+    tie_count = spec.senate_size // 2
+
+    def win(m: int) -> bool:
+        s = (m & s_mask).bit_count()
+        r = (m & r_mask).bit_count()
+        if s >= o_s and r >= o_r:
+            return True
+        if not (p_bit and m & p_bit):
+            return False
+        senate_ok = s >= q_s or (bool(v_bit and m & v_bit) and s == q_s - 1 and q_s - 1 == tie_count)
+        return senate_ok and r >= q_r
+
+    return labels, win

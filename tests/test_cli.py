@@ -205,14 +205,14 @@ class TestOracle:
             ["senate", "MISMATCH", "size 6: closed 9, enumerated 10"],
         ]
 
-    def test_bound_checked_before_building_the_predicate(self, capsys, write_spec, monkeypatch):
+    def test_bound_checked_before_building_the_table(self, capsys, write_spec, monkeypatch):
         from legipower import oracle
 
         def never(spec):
-            raise AssertionError("predicate built for a spec over the bound")
+            raise AssertionError("table built for a spec over the bound")
 
-        monkeypatch.setattr(oracle, "_multicam_win", never)
-        monkeypatch.setattr(oracle, "_us_win", never)
+        monkeypatch.setattr(oracle, "_multicam_table", never)
+        monkeypatch.setattr(oracle, "_us_table", never)
         spec = {"chambers": [{"name": "hall", "size": 10_000_000, "quota": 5_000_001}]}
         code, out, err = _run(capsys, "oracle", write_spec(spec), "--no-meta")
         assert (code, out) == (3, "")
@@ -362,3 +362,24 @@ class TestFailureExits:
         assert (code, out) == (4, "")
         assert err.startswith("error: internal: ")
         assert err.count("\n") == 1
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        from legipower import cli
+
+        def broken(args):
+            raise RuntimeError("table went missing")
+
+        monkeypatch.setattr(cli, "cmd_crossover", broken)
+        code, out, err = _run(capsys, "crossover", "--ms", "3", "--mr", "5")
+        assert (code, out) == (4, "")
+        assert err == "error: internal: RuntimeError: table went missing\n"
+
+    def test_interrupt_is_not_caught(self, monkeypatch):
+        from legipower import cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_crossover", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["crossover", "--ms", "3", "--mr", "5"])

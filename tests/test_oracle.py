@@ -1,7 +1,19 @@
-import pytest
+import itertools
 
-from legipower import ChamberSpec, MulticamSpec, UsSpec, member_critical_vector
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from legipower import (
+    ChamberSpec,
+    MulticamSpec,
+    UsSpec,
+    class_critical_vector,
+    majority_quota,
+    member_critical_vector,
+)
 from legipower.oracle import (
+    MAX_PLAYERS,
     GameAxiomError,
     GameSizeError,
     SimpleGame,
@@ -10,6 +22,7 @@ from legipower.oracle import (
     from_spec,
     minimal_winning,
 )
+from helpers import MINI_US_SPECS, multicam_rule, us_rule
 
 
 def _majority3(mask: int) -> bool:
@@ -43,6 +56,64 @@ class TestValidation:
     def test_size_bound(self):
         with pytest.raises(GameSizeError):
             SimpleGame(["voter"] * 26, lambda m: True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_not_monotone_witness_is_the_smallest_violating_mask(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        # A weighted threshold game with a few outcomes flipped: violations
+        # are then rare, so the smallest one is not simply mask 0 or 1.
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="weights")
+        quota = data.draw(st.integers(0, sum(weights) + 1), label="quota")
+        flips = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=4), label="flips")
+        table = [
+            (sum(w for i, w in enumerate(weights) if m >> i & 1) >= quota) != (m in flips)
+            for m in range(1 << n)
+        ]
+
+        expected = []
+        for pos in range(n):
+            bit = 1 << pos
+            for mask in range(1 << n):
+                if not mask & bit and table[mask] and not table[mask | bit]:
+                    expected.append((mask, mask | bit))
+                    break
+
+        def players(mask):
+            return tuple(i + 1 for i in range(n) if mask >> i & 1)
+
+        found = [
+            (v.coalition, v.superset)
+            for v in find_violations(["voter"] * n, table.__getitem__)
+            if v.axiom == "not-monotone"
+        ]
+        assert found == [(players(a), players(b)) for a, b in expected]
+
+
+class TestFromTable:
+    def test_equals_the_predicate_game(self):
+        table = np.array([bin(m).count("1") >= 2 for m in range(8)])
+        game = SimpleGame.from_table(["voter"] * 3, table)
+        assert np.array_equal(game._table, SimpleGame(["voter"] * 3, _majority3)._table)
+        assert critical_vector(game, 2) == {2: 2}
+
+    def test_axioms_audited(self):
+        table = np.array([bin(m).count("1") % 2 == 1 for m in range(8)])
+        with pytest.raises(GameAxiomError):
+            SimpleGame.from_table(["voter"] * 3, table)
+
+    def test_size_bound(self):
+        with pytest.raises(GameSizeError):
+            SimpleGame.from_table(["voter"] * 26, np.ones(1, dtype=bool))
+
+    @pytest.mark.parametrize("table", [
+        np.ones(4, dtype=bool),
+        np.ones((2, 4), dtype=bool),
+        np.ones(8, dtype=np.uint8),
+    ], ids=["short", "two-dimensional", "uint8"])
+    def test_malformed_table_rejected(self, table):
+        with pytest.raises(ValueError, match="bool array of shape"):
+            SimpleGame.from_table(["voter"] * 3, table)
 
 
 class TestCriticalVector:
@@ -142,3 +213,104 @@ class TestFromSpec:
                 players = game.players(label)
                 vectors = {critical_vector(game, p) for p in players}
                 assert len(vectors) == 1, label
+
+
+def _multicam_specs(max_players: int):
+    """Every spec of one to three chambers with every quota: two chambers in
+    both orders, three with sizes in non-decreasing order.  Every order of
+    three chambers would take 8-14 s more and exercises no bit layout that
+    the two-chamber specs and the unequal triples do not already."""
+    for chambers in (1, 2, 3):
+        for sizes in itertools.product(range(1, max_players + 1), repeat=chambers):
+            if sum(sizes) > max_players or (chambers == 3 and list(sizes) != sorted(sizes)):
+                continue
+            for quotas in itertools.product(*(range(1, m + 1) for m in sizes)):
+                yield MulticamSpec(tuple(
+                    ChamberSpec(name, m, q) for name, m, q in zip("abc", sizes, quotas)
+                ))
+
+
+def _assert_table_matches_rule(spec, rule):
+    game = from_spec(spec)
+    reference = SimpleGame(*rule(spec))
+    assert game.labels == reference.labels, spec
+    assert np.array_equal(game._table, reference._table), spec
+
+
+class TestTableAgainstPerMaskRule:
+    def test_every_multicameral_spec_to_12_players(self):
+        count = 0
+        for spec in _multicam_specs(12):
+            _assert_table_matches_rule(spec, multicam_rule)
+            count += 1
+        assert count == 78 + 1001 + 1179
+
+    @pytest.mark.parametrize("spec", MINI_US_SPECS, ids=str)
+    def test_mini_us_specs(self, spec):
+        _assert_table_matches_rule(spec, us_rule)
+
+    def test_twenty_players_two_chambers(self):
+        spec = MulticamSpec((ChamberSpec("senate", 9, 5), ChamberSpec("house", 11, 8)))
+        _assert_table_matches_rule(spec, multicam_rule)
+
+    def test_twenty_one_players_us_style(self):
+        # A senate quota one above the tie, so the vice president's vote counts.
+        spec = UsSpec(8, 11, 5, 6, 6, 8, True, True)
+        assert spec.tie_break_active
+        _assert_table_matches_rule(spec, us_rule)
+
+
+def _quota_choices(size: int) -> list[int]:
+    return sorted({1, majority_quota(size), size})
+
+
+def _us_specs(max_players: int):
+    """Every US-style spec of at most ``max_players`` players with each quota
+    drawn from {1, majority, size}, under all four executive-flag patterns."""
+    for president, vp in itertools.product((True, False), repeat=2):
+        executive = president + vp
+        for senate in range(1, max_players - executive):
+            for house in range(1, max_players - executive - senate + 1):
+                for q_s, o_s in itertools.product(_quota_choices(senate), repeat=2):
+                    for q_r, o_r in itertools.product(_quota_choices(house), repeat=2):
+                        yield UsSpec(senate, house, q_s, q_r, o_s, o_r, president, vp)
+
+
+class TestWideSweep:
+    def test_every_small_us_spec_matches_the_closed_form(self):
+        count = 0
+        for spec in _us_specs(14):
+            assert spec.total_players <= 14
+            game = from_spec(spec)
+            for cls in spec.classes():
+                player = game.players(cls.value)[0]
+                assert class_critical_vector(spec, cls) == critical_vector(game, player), \
+                    (spec, cls)
+            count += 1
+        assert count == 15157
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_multicameral_specs_to_22_players(self, data):
+        chambers = data.draw(st.integers(1, 4), label="chambers")
+        sizes = []
+        for _ in range(chambers):
+            room = 22 - sum(sizes) - (chambers - len(sizes) - 1)
+            sizes.append(data.draw(st.integers(1, room)))
+        spec = MulticamSpec(tuple(
+            ChamberSpec(f"c{i}", m, data.draw(st.integers(1, m)))
+            for i, m in enumerate(sizes)
+        ))
+        game = from_spec(spec)
+        for chamber in spec.chambers:
+            player = game.players(chamber.name)[0]
+            assert critical_vector(game, player) == member_critical_vector(spec, chamber.name)
+
+    def test_max_players_two_chamber_spec(self):
+        spec = MulticamSpec((ChamberSpec("senate", 12, 7), ChamberSpec("house", 13, 7)))
+        assert spec.total_players == MAX_PLAYERS
+        game = from_spec(spec)
+        assert game.n == MAX_PLAYERS
+        for chamber in spec.chambers:
+            player = game.players(chamber.name)[0]
+            assert critical_vector(game, player) == member_critical_vector(spec, chamber.name)
