@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, oracle
+from . import __version__
 from .chambers import (
     CertificationMismatchError,
     classify_bicameral,
@@ -173,8 +173,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    # The oracle alone needs numpy; importing it here keeps every other
+    # command's start-up free of numpy's import time.
+    from . import oracle
+
     spec = load_spec_file(args.specfile)
-    game = oracle.from_spec(spec)
+    try:
+        game = oracle.from_spec(spec)
+    except oracle.GameSizeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     report = Report(_meta(args, "oracle", spec))
     sec = report.section("oracle", "closed form versus exhaustive enumeration",
                          ("class", "status", "detail"))
@@ -330,9 +338,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except oracle.GameSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except CertificationMismatchError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 4

@@ -41,6 +41,15 @@ def pascal_binomial(n: int, k: int) -> int:
     return row[k]
 
 
+def plain_convolve(a: list[int], b: list[int]) -> list[int]:
+    """Convolution of two rows by the textbook double loop."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def enumerate_template_counts(template: CoalitionTemplate) -> dict[int, int]:
     """Per-size counts by checking every subset of a labelled universe."""
     widths = [p.pool_size for p in template.pools]

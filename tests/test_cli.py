@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import legipower
 from legipower.cli import main
 
 BICAM = {
@@ -335,6 +340,30 @@ class TestLargeCounts:
                               "--format", "table", "--full", "--no-meta")
         assert (code, err) == (0, "")
         assert max(len(word) for word in out.split()) > 4300
+
+
+class TestStartUp:
+    # Prints whether numpy is loaded after the import and after the command.
+    PROBE = (
+        "import sys\n"
+        "import legipower.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "code = legipower.cli.main(sys.argv[1:])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+
+    @pytest.mark.parametrize("command, loaded", [("analyze", False), ("oracle", True)])
+    def test_numpy_loads_only_for_oracle(self, write_spec, command, loaded):
+        src = str(Path(legipower.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, command, write_spec(BICAM),
+             "--format", "json", "--no-meta"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("False", f"0 {loaded}"), proc.stderr
 
 
 class TestFailureExits:

@@ -1,17 +1,20 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from legipower import (
     CoalitionTemplate,
     CountVector,
     PoolConstraint,
+    binomial_row,
     joint_quota_vector,
     sum_counts,
     template_counts,
 )
-from helpers import enumerate_template_counts
+from legipower.counting import KRONECKER_MIN_LEN, _convolve
+from helpers import enumerate_template_counts, plain_convolve
 
 
 class TestCountVector:
@@ -145,3 +148,51 @@ class TestTemplateProperties:
     def test_support_is_an_interval(self, pools, fixed):
         support = template_counts(CoalitionTemplate(fixed, tuple(pools))).support()
         assert list(support) == list(range(support[0], support[-1] + 1))
+
+
+def _rows(max_len):
+    entries = st.one_of(st.just(0), st.integers(0, 10 ** 80))
+    return st.integers(1, max_len).flatmap(
+        lambda n: st.lists(entries, min_size=n, max_size=n))
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit on int-to-string conversion, as a
+    library caller that never goes through ``cli.main`` has it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+class TestConvolve:
+    CUT = KRONECKER_MIN_LEN
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=_rows(3 * CUT), b=_rows(3 * CUT))
+    @example(a=[5], b=[7])
+    @example(a=[3], b=[1] * 200)
+    @example(a=[0] * (CUT + 1), b=[0] * (CUT + 1))
+    @example(a=[2] * CUT, b=[3] * 400)
+    @example(a=[2] * (CUT + 1), b=[3] * (CUT + 1))
+    @example(a=[10 ** 30 - 1] * 400, b=[10 ** 30 - 1] * (CUT + 1))
+    @example(a=[2 ** 100 - 1] * 64, b=[0, 2 ** 100 - 1] * 40)
+    def test_equals_the_double_loop(self, a, b):
+        assert _convolve(a, b) == plain_convolve(a, b)
+
+    def test_past_the_int_string_digit_limit(self, default_digit_limit):
+        # C(15001, k) near the middle has about 4514 digits.
+        row = binomial_row(15001)
+        a, b = row[7450:7550], row[7000:7100]
+        out = _convolve(a, b)
+        assert out == plain_convolve(a, b)
+        assert max(out) > 10 ** 9000
+        if hasattr(sys, "get_int_max_str_digits"):
+            with pytest.raises(ValueError):
+                str(max(out))
