@@ -56,15 +56,19 @@ Legislature = MulticamSpec | UsSpec
 def resolve_class(spec: Legislature, name: str) -> str:
     """Map a user-supplied class name to one of the spec's class ids.
 
-    Class ids and the short aliases match case-insensitively, and so does a
-    chamber's name, standing for the class of its members.
+    Class ids match case-insensitively, and so does a chamber's name,
+    standing for the class of its members.  A short alias such as ``rep``
+    applies only to a name that matches neither, so a chamber named like an
+    alias stays reachable by its own name.
     """
     ids = spec.class_ids()
     chambers = [c["name"] for c in spec.to_document()["chambers"]]
     # The chambers' member classes are the last class ids, in chamber order.
     by_name = {c.lower(): i for c, i in zip(chambers, ids[-len(chambers):])}
     by_name.update({i.lower(): i for i in ids})
-    key = _ALIASES.get(name.lower(), name.lower())
+    key = name.lower()
+    if key not in by_name:
+        key = _ALIASES.get(key, key)
     if key in by_name:
         return by_name[key]
     raise SpecFileError(f"unknown player class {name!r}; known: {', '.join(ids)}")

@@ -3,10 +3,11 @@
 A bill passes either on the signature track (president present, house quota
 met, and the senate quota met outright or via the vice president breaking an
 exact tie) or on the override track (both override quotas met, president not
-needed).  Critical coalition families for each player class are derived as
-rectangles in the (senate count, house count) grid, one set per membership
-pattern of the president and vice president, and counted exactly through
-coalition templates.
+needed).  For each membership pattern of the president and vice president
+the winning (senate count, house count) cells form a staircase, given by the
+fewest house seats that pass with each senate count.  A class's critical
+family is read off two such staircases, with and without one of its players,
+and counted exactly through coalition templates.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable
 
 from .counting import CoalitionTemplate, CountVector, PoolConstraint, sum_counts, template_counts
@@ -118,77 +120,6 @@ class UsSpec:
         }
 
 
-# A rectangle of (senate count, house count) cells, all bounds inclusive.
-@dataclass(frozen=True)
-class _Rect:
-    s_lo: int
-    s_hi: int
-    r_lo: int
-    r_hi: int
-
-
-def _intersect(a: _Rect, b: _Rect) -> _Rect | None:
-    s_lo, s_hi = max(a.s_lo, b.s_lo), min(a.s_hi, b.s_hi)
-    r_lo, r_hi = max(a.r_lo, b.r_lo), min(a.r_hi, b.r_hi)
-    if s_lo > s_hi or r_lo > r_hi:
-        return None
-    return _Rect(s_lo, s_hi, r_lo, r_hi)
-
-
-def _subtract(a: _Rect, b: _Rect) -> list[_Rect]:
-    mid = _intersect(a, b)
-    if mid is None:
-        return [a]
-    out = []
-    if a.s_lo <= mid.s_lo - 1:
-        out.append(_Rect(a.s_lo, mid.s_lo - 1, a.r_lo, a.r_hi))
-    if mid.s_hi + 1 <= a.s_hi:
-        out.append(_Rect(mid.s_hi + 1, a.s_hi, a.r_lo, a.r_hi))
-    if a.r_lo <= mid.r_lo - 1:
-        out.append(_Rect(mid.s_lo, mid.s_hi, a.r_lo, mid.r_lo - 1))
-    if mid.r_hi + 1 <= a.r_hi:
-        out.append(_Rect(mid.s_lo, mid.s_hi, mid.r_hi + 1, a.r_hi))
-    return out
-
-
-def _region_subtract(region: list[_Rect], rects: list[_Rect]) -> list[_Rect]:
-    for b in rects:
-        region = [piece for a in region for piece in _subtract(a, b)]
-    return region
-
-
-def _region_union(a: list[_Rect], b: list[_Rect]) -> list[_Rect]:
-    return a + _region_subtract(b, a)
-
-
-def _win_region(spec: UsSpec, p_in: bool, v_in: bool) -> list[_Rect]:
-    """Winning (senate count, house count) cells for a P/V membership pattern."""
-    region: list[_Rect] = []
-    if spec.has_president and p_in:
-        floor_s = spec.senate_quota
-        if v_in and spec.tie_break_active:
-            floor_s = spec.senate_quota - 1
-        if floor_s <= spec.senate_size and spec.house_quota <= spec.house_size:
-            region = [_Rect(floor_s, spec.senate_size, spec.house_quota, spec.house_size)]
-    override = _Rect(spec.senate_override, spec.senate_size,
-                     spec.house_override, spec.house_size)
-    return _region_union(region, [override])
-
-
-def _shift(region: list[_Rect], ds: int, dr: int, m_s: int, m_r: int) -> list[_Rect]:
-    # Cells whose neighbour (ds, dr) below lies in the region.
-    bounds = _Rect(0, m_s, 0, m_r)
-    moved = (_intersect(_Rect(r.s_lo + ds, r.s_hi + ds, r.r_lo + dr, r.r_hi + dr), bounds)
-             for r in region)
-    return [r for r in moved if r is not None]
-
-
-def _patterns(spec: UsSpec) -> list[tuple[bool, bool]]:
-    p_opts = (False, True) if spec.has_president else (False,)
-    v_opts = (False, True) if spec.has_vp else (False,)
-    return [(p, v) for p in p_opts for v in v_opts]
-
-
 # What one player of each class adds to a coalition: (president flag, VP flag,
 # senate seats, house seats).
 _FOCAL = {
@@ -199,35 +130,52 @@ _FOCAL = {
 }
 
 
+def _r_min(spec: UsSpec, p: int, v: int, s: int) -> int:
+    """The fewest house seats that pass with s senate seats and the given
+    president and VP flags; ``house_size + 1`` when none do."""
+    fewest = spec.house_size + 1
+    if s >= spec.senate_override:
+        fewest = spec.house_override
+    tie_break = v and spec.tie_break_active and s == spec.senate_quota - 1
+    if p and (s >= spec.senate_quota or tie_break):
+        fewest = min(fewest, spec.house_quota)
+    return fewest
+
+
 def critical_templates(spec: UsSpec, cls: PlayerClass) -> tuple[CoalitionTemplate, ...]:
     """Disjoint coalition-template rows whose union is the class's critical family.
 
-    A player is critical where the coalition wins with it and loses without
-    it.  For each membership pattern of the president and vice president that
-    contains the focal player, the critical cells are the winning (senate
-    count, house count) cells minus those that still win once the focal
-    player leaves: for the president or vice president that clears a flag,
-    for a chamber member it moves the cell one seat down and takes the member
-    out of its own chamber's pool.
+    With the president and VP flags p and v fixed, the winning (senate count,
+    house count) cells form a staircase: s senate seats pass with r house
+    seats exactly when r >= ``_r_min(spec, p, v, s)``.  A player is critical
+    where the coalition wins with it and loses without it, so a player that
+    adds (dp, dv, ds, dr) to a coalition is critical, at senate count s, for
+    the house counts r with
+
+        max(r_min(p, v, s), dr) <= r <= min(r_min(p-dp, v-dv, s-ds) + dr - 1, house_size).
+
+    Runs of senate counts with the same house interval become one template,
+    whose pools leave out the player's own seat.
     """
     if cls not in spec.classes():
         raise ValueError(f"spec has no {cls.value.replace('_', ' ')}")
     dp, dv, ds, dr = _FOCAL[cls]
     m_s, m_r = spec.senate_size, spec.house_size
     rows: list[CoalitionTemplate] = []
-    for p_in, v_in in _patterns(spec):
-        if p_in < dp or v_in < dv:
-            continue
-        win = _win_region(spec, p_in, v_in)
-        without = _shift(_win_region(spec, p_in - dp, v_in - dv), ds, dr, m_s, m_r)
-        for r in _region_subtract(win, without):
-            cell = _intersect(r, _Rect(ds, m_s, dr, m_r))
-            if cell is None:
-                continue
-            rows.append(CoalitionTemplate(p_in + v_in + ds + dr, (
-                PoolConstraint(m_s - ds, cell.s_lo - ds, cell.s_hi - ds),
-                PoolConstraint(m_r - dr, cell.r_lo - dr, cell.r_hi - dr),
-            )))
+    for p in range(dp, spec.has_president + 1):
+        for v in range(dv, spec.has_vp + 1):
+            def house_interval(s: int) -> tuple[int, int]:
+                return (max(_r_min(spec, p, v, s), dr),
+                        min(_r_min(spec, p - dp, v - dv, s - ds) + dr - 1, m_r))
+
+            for (r_lo, r_hi), run in groupby(range(ds, m_s + 1), key=house_interval):
+                if r_lo > r_hi:
+                    continue
+                senate = list(run)
+                rows.append(CoalitionTemplate(p + v + ds + dr, (
+                    PoolConstraint(m_s - ds, senate[0] - ds, senate[-1] - ds),
+                    PoolConstraint(m_r - dr, r_lo - dr, r_hi - dr),
+                )))
     return tuple(rows)
 
 

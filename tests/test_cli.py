@@ -175,6 +175,17 @@ class TestCompare:
         rows = dict((r[0], r[1]) for r in _rows(out, "comparison"))
         assert rows["relation"] == "strictly-below"
 
+    def test_chambers_named_like_aliases(self, capsys, write_spec):
+        spec = {"chambers": [
+            {"name": "p", "size": 3, "quota": 2},
+            {"name": "rep", "size": 4, "quota": 3},
+        ]}
+        code, out, _ = _run(capsys, "compare", write_spec(spec), "p", "rep",
+                            "--format", "json", "--no-meta")
+        assert code == 0
+        rows = dict((r[0], r[1]) for r in _rows(out, "comparison"))
+        assert rows["relation"] == "strictly-below"
+
     def test_unknown_class(self, capsys, write_spec):
         code, _, err = _run(capsys, "compare", write_spec(BICAM), "senate", "nobody")
         assert code == 2

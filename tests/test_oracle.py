@@ -289,6 +289,23 @@ class TestWideSweep:
             count += 1
         assert count == 15157
 
+    def test_every_quota_of_chambers_to_four_seats(self):
+        """Every signature quota and every override, including overrides below
+        the signature quotas and quotas off the majority."""
+        count = 0
+        for president, vp in itertools.product((True, False), repeat=2):
+            for senate, house in itertools.product(range(1, 5), repeat=2):
+                for q_s, o_s in itertools.product(range(1, senate + 1), repeat=2):
+                    for q_r, o_r in itertools.product(range(1, house + 1), repeat=2):
+                        spec = UsSpec(senate, house, q_s, q_r, o_s, o_r, president, vp)
+                        game = from_spec(spec)
+                        for cls in spec.classes():
+                            player = game.players(cls.value)[0]
+                            assert class_critical_vector(spec, cls) == \
+                                critical_vector(game, player), (spec, cls)
+                        count += 1
+        assert count == 3600
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_multicameral_specs_to_22_players(self, data):

@@ -185,6 +185,26 @@ class TestResolveClass:
         assert resolve_class(spec, "senate") == "Senate"
         assert resolve_class(spec, "HOUSE") == "house"
 
+    @pytest.mark.parametrize("alias", ["p", "v", "vp", "vice-president", "sen", "rep"])
+    def test_multicam_chamber_named_like_an_alias(self, alias):
+        spec = MulticamSpec((ChamberSpec(alias, 3, 2), ChamberSpec("other", 4, 3)))
+        assert resolve_class(spec, alias) == alias
+        assert resolve_class(spec, alias.upper()) == alias
+
+    def test_us_chambers_named_like_the_other_aliases(self):
+        spec = UsSpec(4, 5, 3, 3, 4, 4, True, True, "rep", "sen")
+        assert resolve_class(spec, "rep") == "senator"
+        assert resolve_class(spec, "sen") == "representative"
+        assert resolve_class(spec, "p") == "president"
+        assert resolve_class(spec, "vp") == "vice_president"
+
+    def test_us_chamber_named_like_an_executive_alias(self):
+        spec = UsSpec(4, 5, 3, 3, 4, 4, True, True, "vp", "p")
+        assert resolve_class(spec, "vp") == "senator"
+        assert resolve_class(spec, "p") == "representative"
+        assert resolve_class(spec, "v") == "vice_president"
+        assert resolve_class(spec, "president") == "president"
+
     def test_unknown_class_lists_the_known_ones(self):
         spec = UsSpec(3, 4, 2, 3, 3, 4, True, False)
         with pytest.raises(SpecFileError,

@@ -133,6 +133,24 @@ class TestOracleEquivalence:
             assert combined == class_critical_vector(spec, cls)
 
 
+class TestCriticalTemplates:
+    def test_default_template_counts(self):
+        spec = UsSpec()
+        counts = {cls: len(critical_templates(spec, cls)) for cls in spec.classes()}
+        assert counts == {
+            PlayerClass.PRESIDENT: 4,
+            PlayerClass.VICE_PRESIDENT: 1,
+            PlayerClass.SENATOR: 4,
+            PlayerClass.REPRESENTATIVE: 4,
+        }
+
+    @pytest.mark.parametrize("spec", [UsSpec(), *MINI_US_SPECS], ids=str)
+    def test_no_template_is_empty(self, spec):
+        for cls in spec.classes():
+            for template in critical_templates(spec, cls):
+                assert template_counts(template), (cls, template)
+
+
 class TestVpRepSignTable:
     def test_default_runs(self, default_vectors):
         signs = vp_rep_sign_table(UsSpec())
