@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import __version__
+from . import __version__, lattice
 from .chambers import (
     CertificationMismatchError,
     classify_bicameral,
@@ -46,6 +46,23 @@ from .specfile import (
     resolve_class,
 )
 from .uslike import UsSpec, vp_rep_sign_table
+
+# Above this many cells, `oracle` enumerates the 2^n bitmask table instead of
+# the seat-count lattice.  The lattice costs one Python rule call and one step
+# per axis for each cell; the table costs numpy's import (about 0.15 s) plus
+# vectorised work that doubles with each player.  So few large chambers favour
+# the lattice and many one-seat chambers (up to 2^25 cells) the table.  CLI
+# wall times, lattice versus table (2-core host, Python 3.11, numpy 2.4):
+#   31,250 cells, 6 four-seat chambers + 1 seat:      0.15 s vs 0.87 s
+#   65,536 cells, 16 one-seat chambers:               0.27 s vs 0.19 s
+#   131,072 cells, 8 three-seat chambers + 1 seat:    0.34 s vs 0.95 s
+#   131,072 cells, 17 one-seat chambers:              0.51 s vs 0.21 s
+#   157,464 cells, 9 two-seat chambers + 7 seats:     0.54 s vs 1.14 s
+#   262,144 cells, 18 one-seat chambers:              1.08 s vs 0.24 s
+#   1,062,882 cells, 12 two-seat chambers + 1 seat:   3.40 s vs 1.25 s
+# At this bound the lattice loses at most about 0.3 s and every US-style spec
+# within the player bound stays on it.
+MAX_LATTICE_CELLS = 1 << 17
 
 
 def _meta(args: argparse.Namespace, command: str,
@@ -172,36 +189,46 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    # The oracle alone needs numpy; importing it here keeps every other
-    # command's start-up free of numpy's import time.
+def _enumerated_vectors(spec: Legislature) -> dict[str, CountVector]:
+    """Every class's critical numbers by exhaustive enumeration: over the
+    seat-count lattice, or over the 2^n bitmask table where the lattice has
+    more than ``MAX_LATTICE_CELLS`` cells."""
+    if lattice.cell_count(spec) <= MAX_LATTICE_CELLS:
+        return lattice.critical_vectors(spec)
+    # Only the table needs numpy; importing it here keeps every other route's
+    # start-up free of numpy's import time.
     from . import oracle
 
-    spec = load_spec_file(args.specfile)
     try:
         game = oracle.from_spec(spec)
-    except oracle.GameSizeError as exc:
+    except oracle.GameAxiomError as exc:
+        raise lattice.RuleAxiomError(str(exc)) from exc
+    return {class_id: oracle.critical_vector(game, game.players(class_id)[0])
+            for class_id in spec.class_ids()}
+
+
+def cmd_oracle(args: argparse.Namespace) -> int:
+    spec = load_spec_file(args.specfile)
+    try:
+        lattice.check_players(spec)
+    except lattice.GameSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    enumerated = _enumerated_vectors(spec)
     report = Report(_meta(args, "oracle", spec))
     sec = report.section("oracle", "closed form versus exhaustive enumeration",
                          ("class", "status", "detail"))
     mismatched = False
     for class_id in spec.class_ids():
         closed = spec.critical_vector(class_id)
-        players = game.players(class_id)
-        if not players:
-            sec.rows.append((class_id, "match", "no players"))
-            continue
-        enumerated = oracle.critical_vector(game, players[0])
-        if closed == enumerated:
+        if closed == enumerated[class_id]:
             sec.rows.append((class_id, "match", f"{len(closed.support())} sizes"))
         else:
             mismatched = True
-            bad = next(k for k, sign in size_signs(closed, enumerated).items() if sign)
+            bad = next(k for k, sign in size_signs(closed, enumerated[class_id]).items() if sign)
             sec.rows.append((
                 class_id, "MISMATCH",
-                f"size {bad}: closed {closed[bad]}, enumerated {enumerated[bad]}",
+                f"size {bad}: closed {closed[bad]}, enumerated {enumerated[class_id][bad]}",
             ))
             break
     print(render(report, args.format), end="")

@@ -1,0 +1,133 @@
+"""Exhaustive enumeration over seat counts, and the passage rules it shares.
+
+Members of one chamber are interchangeable, so whether a coalition passes
+depends only on how many seats it holds in each chamber, and for a US-style
+spec on whether it holds the president and the vice president.  A cell
+(a_1, ..., a_c) of that lattice stands for prod C(m_i, a_i) coalitions; a
+present president or vice president is an axis of one seat, an absent one an
+axis of length one.  A member of class j is critical in a cell when the cell
+wins and the same cell with a_j - 1 loses, and the cell then holds
+C(m_j - 1, a_j - 1) * prod_{i != j} C(m_i, a_i) such coalitions of size
+sum a_i.  This is the type counting of Bilbao, Fernandez, Jimenez Losada and
+Lopez, "Generating functions for computing power indices efficiently"
+(TOP 8, 2000), used here as an enumeration: every cell is visited, so the
+module needs ``math.comb`` and the passage rule only, and shares nothing with
+the closed forms it validates.
+
+The passage rules are written once, with ``&``, ``|``, ``>=`` and ``==``
+only, so the same functions decide a cell of Python ints here and every
+bitmask of a numpy popcount table in ``oracle``.  This module imports no
+numpy.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from math import comb, prod
+from typing import Callable
+
+from .chambers import MulticamSpec
+from .counting import CountVector
+from .uslike import PlayerClass, UsSpec
+
+# Exhaustive enumeration, by either route, is offered up to this many players.
+MAX_PLAYERS = 25
+
+
+class GameSizeError(ValueError):
+    """The game exceeds the exhaustive-enumeration player bound."""
+
+
+class RuleAxiomError(RuntimeError):
+    """A spec's passage rule breaks a simple-game axiom.
+
+    Spec validation keeps every quota within 1..size, which makes every spec a
+    simple game, so this is an internal contradiction, not bad input.
+    """
+
+
+def check_players(spec: MulticamSpec | UsSpec) -> None:
+    """Refuse a spec over the exhaustive bound, before anything per seat is built."""
+    if spec.total_players > MAX_PLAYERS:
+        raise GameSizeError(
+            f"spec has {spec.total_players} players, exhaustive bound is {MAX_PLAYERS}"
+        )
+
+
+def multicam_wins(spec: MulticamSpec, counts):
+    """Whether seat counts (one per chamber, in chamber order) meet every quota."""
+    wins = True
+    for chamber, count in zip(spec.chambers, counts):
+        wins = wins & (count >= chamber.quota)
+    return wins
+
+
+def us_wins(spec: UsSpec, p, v, s, r):
+    """Whether a coalition passes a US-style spec, from whether it holds the
+    president (``p``) and the vice president (``v``), and its senate (``s``)
+    and house (``r``) seat counts.
+
+    The override track needs both override quotas.  The signature track needs
+    the president, the house quota, and the senate quota met outright or one
+    short at an exact tie of the senate with the vice president's vote.
+    """
+    q_s = spec.senate_quota
+    override = (s >= spec.senate_override) & (r >= spec.house_override)
+    tie_break = v & (s == q_s - 1) & (q_s - 1 == spec.senate_size // 2)
+    signature = p & ((s >= q_s) | tie_break) & (r >= spec.house_quota)
+    return override | signature
+
+
+def _axes(spec: MulticamSpec | UsSpec) -> tuple[list[tuple[str, int]], Callable[..., object]]:
+    """(class id, seats) per lattice axis, and the passage rule on a cell."""
+    if isinstance(spec, MulticamSpec):
+        return ([(c.name, c.size) for c in spec.chambers],
+                lambda *cell: multicam_wins(spec, cell))
+    if isinstance(spec, UsSpec):
+        return ([(PlayerClass.PRESIDENT.value, int(spec.has_president)),
+                 (PlayerClass.VICE_PRESIDENT.value, int(spec.has_vp)),
+                 (PlayerClass.SENATOR.value, spec.senate_size),
+                 (PlayerClass.REPRESENTATIVE.value, spec.house_size)],
+                lambda *cell: us_wins(spec, *cell))
+    raise TypeError(f"expected MulticamSpec or UsSpec, got {type(spec).__name__}")
+
+
+def cell_count(spec: MulticamSpec | UsSpec) -> int:
+    """The number of cells the enumeration visits: prod (m_i + 1) over the axes."""
+    axes, _ = _axes(spec)
+    return prod(seats + 1 for _, seats in axes)
+
+
+def critical_vectors(spec: MulticamSpec | UsSpec) -> dict[str, CountVector]:
+    """Every class's exact critical numbers, by one sweep of the seat-count lattice.
+
+    The sweep also audits the axioms on the lattice (the empty cell loses, the
+    full cell wins, and winning is monotone in every coordinate) and raises
+    ``RuleAxiomError`` with the first broken one.  It has no size bound:
+    the work is ``cell_count(spec)`` rule calls.
+    """
+    axes, wins = _axes(spec)
+    seats = [m for _, m in axes]
+    ranges = [range(m + 1) for m in seats]
+    won = [bool(wins(*cell)) for cell in product(*ranges)]
+    if won[0]:
+        raise RuleAxiomError(f"empty-cell-wins: {tuple(0 for _ in seats)}")
+    if not won[-1]:
+        raise RuleAxiomError(f"full-cell-loses: {tuple(seats)}")
+    # The index of a cell in product order, and so of its neighbour a_j - 1.
+    strides = [prod(m + 1 for m in seats[j + 1:]) for j in range(len(seats))]
+    rows = [[comb(m, a) for a in range(m + 1)] for m in seats]
+    counts: list[dict[int, int]] = [{} for _ in seats]
+    for index, cell in enumerate(product(*ranges)):
+        here = won[index]
+        for j, a in enumerate(cell):
+            if not a or won[index - strides[j]] == here:
+                continue
+            if not here:
+                lower = cell[:j] + (a - 1,) + cell[j + 1:]
+                raise RuleAxiomError(f"not-monotone: cell {lower} wins but {cell} loses")
+            # C(m_j - 1, a_j - 1) = C(m_j, a_j) * a_j / m_j, exactly.
+            weight = prod(row[c] for row, c in zip(rows, cell)) * a // seats[j]
+            size = sum(cell)
+            counts[j][size] = counts[j].get(size, 0) + weight
+    return {name: CountVector(counts[j]) for j, (name, m) in enumerate(axes) if m}

@@ -5,9 +5,11 @@ three axioms (empty coalition loses, grand coalition wins, monotonicity) are
 checked exhaustively at construction.  A user's win predicate is evaluated
 on every bitmask.  A spec's table is built with numpy instead: every chamber
 holds a contiguous range of bits, so one popcount vector per chamber and a
-broadcast of the passage rule over the chambers give all 2^n outcomes.
-Everything downstream of the table is a full sweep of the subset space;
-nothing here shares code with the closed forms it validates.
+broadcast of the passage rule over the chambers give all 2^n outcomes.  The
+rule is the one ``lattice`` applies to seat counts, so the bitmask table and
+the seat-count lattice are two enumerations of one rule.  Everything
+downstream of the table is a full sweep of the subset space; nothing here
+shares code with the closed forms it validates.
 """
 
 from __future__ import annotations
@@ -19,13 +21,8 @@ import numpy as np
 
 from .chambers import MulticamSpec
 from .counting import CountVector
+from .lattice import MAX_PLAYERS, GameSizeError, check_players, multicam_wins, us_wins
 from .uslike import PlayerClass, UsSpec
-
-MAX_PLAYERS = 25
-
-
-class GameSizeError(ValueError):
-    """The game exceeds the exhaustive-enumeration player bound."""
 
 
 class GameAxiomError(ValueError):
@@ -200,13 +197,13 @@ def minimal_winning(game: SimpleGame) -> set[frozenset[int]]:
 
 def _multicam_table(spec: MulticamSpec) -> tuple[list[str], np.ndarray]:
     labels: list[str] = []
-    table = np.ones(1, dtype=bool)
-    for chamber in spec.chambers:
+    counts = []
+    for i, chamber in enumerate(spec.chambers):
         labels.extend([chamber.name] * chamber.size)
-        # Each chamber takes the bits above the previous ones: the outer axis.
-        passes = _popcounts(chamber.size) >= chamber.quota
-        table = np.logical_and.outer(passes, table).ravel()
-    return labels, table
+        # Each chamber takes the bits above the previous ones: the axis just
+        # outside theirs, as broadcasting aligns axes from the right.
+        counts.append(_popcounts(chamber.size).reshape((-1,) + (1,) * i))
+    return labels, multicam_wins(spec, counts).ravel()
 
 
 def _us_table(spec: UsSpec) -> tuple[list[str], np.ndarray]:
@@ -222,11 +219,7 @@ def _us_table(spec: UsSpec) -> tuple[list[str], np.ndarray]:
     s = _popcounts(spec.senate_size)[:, None, None]
     v = np.array([False, True][: 1 + spec.has_vp])[:, None]
     p = np.array([False, True][: 1 + spec.has_president])
-    q_s, q_r = spec.senate_quota, spec.house_quota
-    override = (s >= spec.senate_override) & (r >= spec.house_override)
-    tie_break = v & (s == q_s - 1) & (q_s - 1 == spec.senate_size // 2)
-    signature = p & ((s >= q_s) | tie_break) & (r >= q_r)
-    return labels, (override | signature).ravel()
+    return labels, us_wins(spec, p, v, s, r).ravel()
 
 
 def from_spec(spec: MulticamSpec | UsSpec) -> SimpleGame:
@@ -241,8 +234,5 @@ def from_spec(spec: MulticamSpec | UsSpec) -> SimpleGame:
         build = _us_table
     else:
         raise TypeError(f"expected MulticamSpec or UsSpec, got {type(spec).__name__}")
-    if spec.total_players > MAX_PLAYERS:
-        raise GameSizeError(
-            f"spec has {spec.total_players} players, exhaustive bound is {MAX_PLAYERS}"
-        )
+    check_players(spec)
     return SimpleGame.from_table(*build(spec))

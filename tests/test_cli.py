@@ -30,6 +30,11 @@ MINI_US = {
     },
 }
 
+# 2^18 cells: above the lattice bound, so `oracle` enumerates the bitmask table.
+ONE_SEAT_CHAMBERS = {
+    "chambers": [{"name": f"seat{i}", "size": 1, "quota": 1} for i in range(18)],
+}
+
 FULL_US = {
     "chambers": [
         {"name": "senate", "size": 100, "quota": 51},
@@ -222,13 +227,14 @@ class TestOracle:
         ]
 
     def test_bound_checked_before_building_the_table(self, capsys, write_spec, monkeypatch):
-        from legipower import oracle
+        from legipower import lattice, oracle
 
         def never(spec):
             raise AssertionError("table built for a spec over the bound")
 
         monkeypatch.setattr(oracle, "_multicam_table", never)
         monkeypatch.setattr(oracle, "_us_table", never)
+        monkeypatch.setattr(lattice, "critical_vectors", never)
         spec = {"chambers": [{"name": "hall", "size": 10_000_000, "quota": 5_000_001}]}
         code, out, err = _run(capsys, "oracle", write_spec(spec), "--no-meta")
         assert (code, out) == (3, "")
@@ -238,6 +244,21 @@ class TestOracle:
         code, _, err = _run(capsys, "oracle", write_spec(FULL_US))
         assert code == 3
         assert "25" in err
+
+    @pytest.mark.parametrize("spec", [BICAM, ONE_SEAT_CHAMBERS], ids=["lattice", "table"])
+    def test_rule_axiom_failure_is_an_internal_error(self, capsys, write_spec, monkeypatch, spec):
+        from legipower import lattice, oracle
+
+        def one_seat_wins(spec, counts):
+            # Validated specs never give such a rule: one seat wins, two lose.
+            seats = sum(counts)
+            return (seats == 1) | (seats == spec.total_players)
+
+        monkeypatch.setattr(lattice, "multicam_wins", one_seat_wins)
+        monkeypatch.setattr(oracle, "multicam_wins", one_seat_wins)
+        code, out, err = _run(capsys, "oracle", write_spec(spec), "--no-meta")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: internal: RuleAxiomError: not-monotone: ")
 
 
 class TestUsCommand:
@@ -363,18 +384,25 @@ class TestStartUp:
         "print(code, 'numpy' in sys.modules)\n"
     )
 
-    @pytest.mark.parametrize("command, loaded", [("analyze", False), ("oracle", True)])
-    def test_numpy_loads_only_for_oracle(self, write_spec, command, loaded):
+    @pytest.mark.parametrize("command, spec, loaded", [
+        ("analyze", BICAM, False),
+        ("oracle", BICAM, False),
+        ("oracle", ONE_SEAT_CHAMBERS, True),
+    ], ids=["analyze", "oracle-lattice", "oracle-table"])
+    def test_numpy_loads_only_for_the_oracle_table(self, write_spec, command, spec, loaded):
         src = str(Path(legipower.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
-            [sys.executable, "-c", self.PROBE, command, write_spec(BICAM),
+            [sys.executable, "-c", self.PROBE, command, write_spec(spec),
              "--format", "json", "--no-meta"],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": path},
         )
         lines = proc.stdout.splitlines()
         assert (lines[0], lines[-1]) == ("False", f"0 {loaded}"), proc.stderr
+        if command == "oracle":
+            rows = _rows("\n".join(lines[1:-1]), "oracle")
+            assert [row[1] for row in rows] == ["match"] * len(spec["chambers"])
 
 
 class TestFailureExits:

@@ -1,4 +1,7 @@
+import ast
 import itertools
+from math import comb, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from legipower import (
     ChamberSpec,
+    Dominance,
     MulticamSpec,
     UsSpec,
     class_critical_vector,
+    lattice,
     majority_quota,
     member_critical_vector,
+    weak_desirability,
 )
 from legipower.oracle import (
     MAX_PLAYERS,
@@ -299,10 +305,15 @@ class TestWideSweep:
                     for q_r, o_r in itertools.product(range(1, house + 1), repeat=2):
                         spec = UsSpec(senate, house, q_s, q_r, o_s, o_r, president, vp)
                         game = from_spec(spec)
+                        counted = lattice.critical_vectors(spec)
+                        assert list(counted) == list(spec.class_ids()), spec
+                        assert lattice.cell_count(spec) == \
+                            (senate + 1) * (house + 1) * (1 + president) * (1 + vp), spec
                         for cls in spec.classes():
                             player = game.players(cls.value)[0]
-                            assert class_critical_vector(spec, cls) == \
-                                critical_vector(game, player), (spec, cls)
+                            enumerated = critical_vector(game, player)
+                            assert class_critical_vector(spec, cls) == enumerated, (spec, cls)
+                            assert counted[cls.value] == enumerated, (spec, cls)
                         count += 1
         assert count == 3600
 
@@ -318,16 +329,71 @@ class TestWideSweep:
             ChamberSpec(f"c{i}", m, data.draw(st.integers(1, m)))
             for i, m in enumerate(sizes)
         ))
-        game = from_spec(spec)
-        for chamber in spec.chambers:
-            player = game.players(chamber.name)[0]
-            assert critical_vector(game, player) == member_critical_vector(spec, chamber.name)
+        _assert_enumerations_match(spec)
 
     def test_max_players_two_chamber_spec(self):
         spec = MulticamSpec((ChamberSpec("senate", 12, 7), ChamberSpec("house", 13, 7)))
         assert spec.total_players == MAX_PLAYERS
-        game = from_spec(spec)
+        game = _assert_enumerations_match(spec)
         assert game.n == MAX_PLAYERS
-        for chamber in spec.chambers:
-            player = game.players(chamber.name)[0]
-            assert critical_vector(game, player) == member_critical_vector(spec, chamber.name)
+
+
+def _assert_enumerations_match(spec: MulticamSpec) -> SimpleGame:
+    """The bitmask table, the seat-count lattice and the closed form agree on
+    every chamber; the spec's game is returned."""
+    game = from_spec(spec)
+    counted = lattice.critical_vectors(spec)
+    assert list(counted) == list(spec.class_ids()), spec
+    assert lattice.cell_count(spec) == prod(c.size + 1 for c in spec.chambers), spec
+    for chamber in spec.chambers:
+        enumerated = critical_vector(game, game.players(chamber.name)[0])
+        assert enumerated == member_critical_vector(spec, chamber.name), spec
+        assert counted[chamber.name] == enumerated, spec
+    return game
+
+
+class TestLattice:
+    @pytest.mark.parametrize("spec", [
+        UsSpec(),
+        UsSpec(senate_quota=66),
+        UsSpec(senate_quota=67),
+        UsSpec(senate_quota=100),
+        UsSpec(house_quota=401, house_override=401),
+    ], ids=["default", "senate-66", "senate-67", "senate-100", "house-401"])
+    def test_paper_scale_matches_the_closed_forms(self, spec):
+        counted = lattice.critical_vectors(spec)
+        assert lattice.cell_count(spec) == 2 * 2 * 101 * 436
+        for cls in spec.classes():
+            assert counted[cls.value] == class_critical_vector(spec, cls), cls
+        president, senator = counted["president"], counted["senator"]
+        # The refuting values of the criterion-7 checks, by a route that
+        # shares no code with the closed forms.
+        if spec.senate_quota >= 66:
+            relation = weak_desirability(president, senator)
+            assert relation.kind is not Dominance.STRICTLY_ABOVE
+        if spec.senate_quota == 66:
+            assert president[503] == senator[503] == comb(100, 66)
+        if spec.house_quota == 401:
+            assert senator[503] == comb(99, 66)
+
+    def test_imports_no_closed_form_and_no_numpy(self):
+        tree = ast.parse(Path(lattice.__file__).read_text())
+        imported = {(node.module, alias.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not any(isinstance(node, ast.Import) for node in ast.walk(tree))
+        assert imported == {
+            ("__future__", "annotations"), ("itertools", "product"), ("math", "comb"),
+            ("math", "prod"), ("typing", "Callable"), ("chambers", "MulticamSpec"),
+            ("counting", "CountVector"), ("uslike", "PlayerClass"), ("uslike", "UsSpec"),
+        }
+
+    @pytest.mark.parametrize("rule, axiom", [
+        (lambda spec, counts: True, "empty-cell-wins"),
+        (lambda spec, counts: False, "full-cell-loses"),
+        (lambda spec, counts: sum(counts) in (1, spec.total_players), "not-monotone"),
+    ], ids=["empty-wins", "full-loses", "not-monotone"])
+    def test_audit_names_the_broken_axiom(self, monkeypatch, rule, axiom):
+        monkeypatch.setattr(lattice, "multicam_wins", rule)
+        spec = MulticamSpec((ChamberSpec("a", 2, 1), ChamberSpec("b", 3, 2)))
+        with pytest.raises(lattice.RuleAxiomError, match=f"^{axiom}: "):
+            lattice.critical_vectors(spec)
