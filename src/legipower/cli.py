@@ -31,7 +31,6 @@ from .semivalues import (
     WeightingVector,
     banzhaf,
     competition_ranks,
-    distinguishing_indices,
     evaluate,
     point_mass,
     shapley_shubik,
@@ -45,7 +44,7 @@ from .specfile import (
     load_weight_file,
     resolve_class,
 )
-from .uslike import UsSpec, vp_rep_sign_table
+from .uslike import UsSpec
 
 # Above this many cells, `oracle` enumerates the 2^n bitmask table instead of
 # the seat-count lattice.  The lattice costs one Python rule call and one step
@@ -177,14 +176,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if relation.witness is not None:
         sec.rows.append(("first_ahead_at", str(relation.witness[0])))
         sec.rows.append(("second_ahead_at", str(relation.witness[1])))
-        pair = distinguishing_indices(va, vb, spec.total_players)
         dsec = report.section(
             "distinguishing_indices", "distinguishing point-mass indices",
             ("favours", "size", "weight"),
         )
-        for favours, w in zip((class_a, class_b), pair):
-            size = next(k for k in range(1, w.n + 1) if w.weight(k))
-            dsec.rows.append((favours, str(size), format_rational(w.weight(size))))
+        for favours, size in zip((class_a, class_b), relation.witness):
+            weight = point_mass(spec.total_players, size).weight(size)
+            dsec.rows.append((favours, str(size), format_rational(weight)))
     print(render(report, args.format), end="")
     return 0
 
@@ -262,7 +260,7 @@ def cmd_us(args: argparse.Namespace) -> int:
             relation = weak_desirability(vectors[a], vectors[b])
             verdicts.rows.append((a, b, relation.kind.value))
 
-    signs = vp_rep_sign_table(spec)
+    signs = size_signs(vectors["vice_president"], vectors["representative"])
     sign_sec = report.section("vp_vs_representative", "vice president versus representative",
                               ("from_size", "to_size", "ahead"))
     for lo, hi, sign in _sign_runs(signs):

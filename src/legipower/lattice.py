@@ -78,8 +78,12 @@ def us_wins(spec: UsSpec, p, v, s, r):
     return override | signature
 
 
-def _axes(spec: MulticamSpec | UsSpec) -> tuple[list[tuple[str, int]], Callable[..., object]]:
-    """(class id, seats) per lattice axis, and the passage rule on a cell."""
+def axes(spec: MulticamSpec | UsSpec) -> tuple[list[tuple[str, int]], Callable[..., object]]:
+    """(class id, seats) per lattice axis, and the passage rule on a cell.
+
+    The axis order is also the bit order of ``oracle``'s bitmask table,
+    lowest bits first: axis j's seats take the bits just above axis j - 1's.
+    """
     if isinstance(spec, MulticamSpec):
         return ([(c.name, c.size) for c in spec.chambers],
                 lambda *cell: multicam_wins(spec, cell))
@@ -94,8 +98,8 @@ def _axes(spec: MulticamSpec | UsSpec) -> tuple[list[tuple[str, int]], Callable[
 
 def cell_count(spec: MulticamSpec | UsSpec) -> int:
     """The number of cells the enumeration visits: prod (m_i + 1) over the axes."""
-    axes, _ = _axes(spec)
-    return prod(seats + 1 for _, seats in axes)
+    layout, _ = axes(spec)
+    return prod(seats + 1 for _, seats in layout)
 
 
 def critical_vectors(spec: MulticamSpec | UsSpec) -> dict[str, CountVector]:
@@ -106,8 +110,8 @@ def critical_vectors(spec: MulticamSpec | UsSpec) -> dict[str, CountVector]:
     ``RuleAxiomError`` with the first broken one.  It has no size bound:
     the work is ``cell_count(spec)`` rule calls.
     """
-    axes, wins = _axes(spec)
-    seats = [m for _, m in axes]
+    layout, wins = axes(spec)
+    seats = [m for _, m in layout]
     ranges = [range(m + 1) for m in seats]
     won = [bool(wins(*cell)) for cell in product(*ranges)]
     if won[0]:
@@ -130,4 +134,4 @@ def critical_vectors(spec: MulticamSpec | UsSpec) -> dict[str, CountVector]:
             weight = prod(row[c] for row, c in zip(rows, cell)) * a // seats[j]
             size = sum(cell)
             counts[j][size] = counts[j].get(size, 0) + weight
-    return {name: CountVector(counts[j]) for j, (name, m) in enumerate(axes) if m}
+    return {name: CountVector(counts[j]) for j, (name, m) in enumerate(layout) if m}

@@ -3,13 +3,15 @@
 Games are stored as an explicit win table over all 2^n coalitions, and the
 three axioms (empty coalition loses, grand coalition wins, monotonicity) are
 checked exhaustively at construction.  A user's win predicate is evaluated
-on every bitmask.  A spec's table is built with numpy instead: every chamber
-holds a contiguous range of bits, so one popcount vector per chamber and a
-broadcast of the passage rule over the chambers give all 2^n outcomes.  The
-rule is the one ``lattice`` applies to seat counts, so the bitmask table and
-the seat-count lattice are two enumerations of one rule.  Everything
-downstream of the table is a full sweep of the subset space; nothing here
-shares code with the closed forms it validates.
+on every bitmask.  A spec's table is built with numpy instead, from the axes
+``lattice.axes`` gives: every axis (a chamber, or a president or vice
+president) holds a contiguous range of bits, so one popcount vector per axis
+and a broadcast of the passage rule over the axes give all 2^n outcomes.
+The rule and the axes are the ones ``lattice`` enumerates seat counts on, so
+the bitmask table and the seat-count lattice are two enumerations of one
+layout and one rule.  Everything downstream of the table is a full sweep of
+the subset space; nothing here shares code with the closed forms it
+validates.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 
 from .chambers import MulticamSpec
 from .counting import CountVector
-from .lattice import MAX_PLAYERS, GameSizeError, check_players, multicam_wins, us_wins
-from .uslike import PlayerClass, UsSpec
+from .lattice import MAX_PLAYERS, GameSizeError, axes, check_players
+from .uslike import UsSpec
 
 
 class GameAxiomError(ValueError):
@@ -195,44 +197,17 @@ def minimal_winning(game: SimpleGame) -> set[frozenset[int]]:
     return {frozenset(_players_of_mask(int(m))) for m in np.flatnonzero(minimal)}
 
 
-def _multicam_table(spec: MulticamSpec) -> tuple[list[str], np.ndarray]:
-    labels: list[str] = []
-    counts = []
-    for i, chamber in enumerate(spec.chambers):
-        labels.extend([chamber.name] * chamber.size)
-        # Each chamber takes the bits above the previous ones: the axis just
-        # outside theirs, as broadcasting aligns axes from the right.
-        counts.append(_popcounts(chamber.size).reshape((-1,) + (1,) * i))
-    return labels, multicam_wins(spec, counts).ravel()
-
-
-def _us_table(spec: UsSpec) -> tuple[list[str], np.ndarray]:
-    labels = (
-        [PlayerClass.PRESIDENT.value] * spec.has_president
-        + [PlayerClass.VICE_PRESIDENT.value] * spec.has_vp
-        + [PlayerClass.SENATOR.value] * spec.senate_size
-        + [PlayerClass.REPRESENTATIVE.value] * spec.house_size
-    )
-    # Axes from the highest bits down: house, senate, VP, president.  An
-    # absent executive has an axis of length one that holds only "absent".
-    r = _popcounts(spec.house_size)[:, None, None, None]
-    s = _popcounts(spec.senate_size)[:, None, None]
-    v = np.array([False, True][: 1 + spec.has_vp])[:, None]
-    p = np.array([False, True][: 1 + spec.has_president])
-    return labels, us_wins(spec, p, v, s, r).ravel()
-
-
 def from_spec(spec: MulticamSpec | UsSpec) -> SimpleGame:
     """Instantiate a spec as a labelled game with its exact passage rule.
 
     The player bound is checked before any per-seat label or table is built,
     so refusing a huge spec costs nothing that grows with its seats.
     """
-    if isinstance(spec, MulticamSpec):
-        build = _multicam_table
-    elif isinstance(spec, UsSpec):
-        build = _us_table
-    else:
-        raise TypeError(f"expected MulticamSpec or UsSpec, got {type(spec).__name__}")
+    layout, wins = axes(spec)
     check_players(spec)
-    return SimpleGame.from_table(*build(spec))
+    labels = [name for name, seats in layout for _ in range(seats)]
+    # Axis j takes the bits above axes 0..j-1: the broadcast axis just
+    # outside theirs, as broadcasting aligns axes from the right.  An absent
+    # executive is an axis of no seats, whose one entry is "absent".
+    counts = [_popcounts(seats).reshape((-1,) + (1,) * j) for j, (_, seats) in enumerate(layout)]
+    return SimpleGame.from_table(labels, np.asarray(wins(*counts), dtype=bool).ravel())

@@ -60,7 +60,7 @@ def approx_int(value: int) -> str:
 
 
 def _csv_quote(cell: str) -> str:
-    if any(ch in cell for ch in ",\"\n"):
+    if any(ch in cell for ch in ",\"\n\r"):
         return '"' + cell.replace('"', '""') + '"'
     return cell
 

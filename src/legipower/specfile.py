@@ -56,21 +56,29 @@ Legislature = MulticamSpec | UsSpec
 def resolve_class(spec: Legislature, name: str) -> str:
     """Map a user-supplied class name to one of the spec's class ids.
 
-    Class ids match case-insensitively, and so does a chamber's name,
-    standing for the class of its members.  A short alias such as ``rep``
-    applies only to a name that matches neither, so a chamber named like an
-    alias stays reachable by its own name.
+    A class id or a chamber's name, standing for the class of its members,
+    matches exactly first (a class id before a chamber name), then up to
+    case; a name that matches several classes only up to case is refused.
+    A short alias such as ``rep`` applies only to a name that matches
+    nothing, so a chamber named like an alias stays reachable by its own name.
     """
     ids = spec.class_ids()
     chambers = [c["name"] for c in spec.to_document()["chambers"]]
     # The chambers' member classes are the last class ids, in chamber order.
-    by_name = {c.lower(): i for c, i in zip(chambers, ids[-len(chambers):])}
-    by_name.update({i.lower(): i for i in ids})
+    names = list(zip(ids, ids)) + list(zip(chambers, ids[-len(chambers):]))
+    exact = [i for n, i in names if n == name]
+    if exact:
+        return exact[0]
     key = name.lower()
-    if key not in by_name:
+    if not any(n.lower() == key for n, _ in names):
         key = _ALIASES.get(key, key)
-    if key in by_name:
-        return by_name[key]
+    folded = list(dict.fromkeys(i for n, i in names if n.lower() == key))
+    if len(folded) > 1:
+        raise SpecFileError(
+            f"player class {name!r} is ambiguous up to case; matches: {', '.join(folded)}"
+        )
+    if folded:
+        return folded[0]
     raise SpecFileError(f"unknown player class {name!r}; known: {', '.join(ids)}")
 
 

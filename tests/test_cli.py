@@ -196,6 +196,17 @@ class TestCompare:
         assert code == 2
         assert "nobody" in err
 
+    def test_chambers_named_alike_up_to_case(self, capsys, write_spec):
+        path = write_spec({"chambers": [
+            {"name": "A", "size": 3, "quota": 2},
+            {"name": "a", "size": 4, "quota": 3},
+        ]})
+        code, out, _ = _run(capsys, "compare", path, "A", "a", "--format", "json", "--no-meta")
+        assert code == 0
+        rows = dict((r[0], r[1]) for r in _rows(out, "comparison"))
+        assert (rows["first"], rows["second"]) == ("A", "a")
+        assert rows["relation"] == "strictly-below"
+
 
 class TestOracle:
     def test_mini_us_matches(self, capsys, write_spec):
@@ -232,8 +243,7 @@ class TestOracle:
         def never(spec):
             raise AssertionError("table built for a spec over the bound")
 
-        monkeypatch.setattr(oracle, "_multicam_table", never)
-        monkeypatch.setattr(oracle, "_us_table", never)
+        monkeypatch.setattr(oracle, "from_spec", never)
         monkeypatch.setattr(lattice, "critical_vectors", never)
         spec = {"chambers": [{"name": "hall", "size": 10_000_000, "quota": 5_000_001}]}
         code, out, err = _run(capsys, "oracle", write_spec(spec), "--no-meta")
@@ -247,15 +257,15 @@ class TestOracle:
 
     @pytest.mark.parametrize("spec", [BICAM, ONE_SEAT_CHAMBERS], ids=["lattice", "table"])
     def test_rule_axiom_failure_is_an_internal_error(self, capsys, write_spec, monkeypatch, spec):
-        from legipower import lattice, oracle
+        from legipower import lattice
 
         def one_seat_wins(spec, counts):
             # Validated specs never give such a rule: one seat wins, two lose.
             seats = sum(counts)
             return (seats == 1) | (seats == spec.total_players)
 
+        # Both routes read the rule from `lattice.axes`, so one patch reaches both.
         monkeypatch.setattr(lattice, "multicam_wins", one_seat_wins)
-        monkeypatch.setattr(oracle, "multicam_wins", one_seat_wins)
         code, out, err = _run(capsys, "oracle", write_spec(spec), "--no-meta")
         assert (code, out) == (4, "")
         assert err.startswith("error: internal: RuleAxiomError: not-monotone: ")
@@ -329,6 +339,17 @@ class TestCsvShape:
         assert lines[0] == "section,field1,field2,field3,value,approx"
         parsed = list(csv.reader(io.StringIO(out)))
         assert all(len(row) == 6 for row in parsed)
+
+    def test_carriage_return_in_a_name_stays_in_its_cell(self, capsys, write_spec):
+        spec = {"chambers": [
+            {"name": "up\rper", "size": 3, "quota": 2},
+            {"name": "lower", "size": 5, "quota": 3},
+        ]}
+        code, out, _ = _run(capsys, "analyze", write_spec(spec), "--format", "csv")
+        assert code == 0
+        parsed = list(csv.reader(io.StringIO(out, newline="")))
+        assert all(len(row) == 6 for row in parsed)
+        assert ["critical_vectors", "up\rper", "5", "", "20", ""] in parsed
 
     def test_vector_rows(self, capsys, write_spec):
         code, out, _ = _run(capsys, "analyze", write_spec(BICAM), "--format", "csv",

@@ -209,6 +209,23 @@ class TestFromSpec:
         with pytest.raises(GameSizeError):
             from_spec(UsSpec())
 
+    def test_bound_checked_before_any_popcount_is_built(self, monkeypatch):
+        from legipower import oracle
+
+        def never(bits):
+            raise AssertionError("popcounts built for a spec over the bound")
+
+        monkeypatch.setattr(oracle, "_popcounts", never)
+        spec = MulticamSpec((ChamberSpec("hall", 10_000_000, 5_000_001),))
+        with pytest.raises(GameSizeError, match="spec has 10000000 players"):
+            from_spec(spec)
+
+    @pytest.mark.parametrize("read", [from_spec, lattice.cell_count, lattice.critical_vectors],
+                             ids=["from_spec", "cell_count", "critical_vectors"])
+    def test_non_spec_is_a_type_error(self, read):
+        with pytest.raises(TypeError, match="^expected MulticamSpec or UsSpec, got tuple$"):
+            read((ChamberSpec("a", 3, 2),))
+
     def test_same_class_players_have_identical_vectors(self):
         for spec in (
             MulticamSpec((ChamberSpec("a", 3, 2), ChamberSpec("b", 4, 3))),

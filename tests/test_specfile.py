@@ -205,6 +205,31 @@ class TestResolveClass:
         assert resolve_class(spec, "v") == "vice_president"
         assert resolve_class(spec, "president") == "president"
 
+    def test_exact_case_wins_over_folded_case(self):
+        spec = MulticamSpec((ChamberSpec("A", 3, 2), ChamberSpec("a", 4, 3)))
+        assert resolve_class(spec, "A") == "A"
+        assert resolve_class(spec, "a") == "a"
+
+    def test_exact_chamber_name_wins_over_folded_class_id(self):
+        spec = UsSpec(4, 5, 3, 3, 4, 4, True, True, "President", "lower")
+        assert resolve_class(spec, "President") == "senator"
+        assert resolve_class(spec, "president") == "president"
+
+    @pytest.mark.parametrize("spec, name, matches", [
+        (MulticamSpec((ChamberSpec("Ab", 3, 2), ChamberSpec("aB", 4, 3))), "ab", "Ab, aB"),
+        (UsSpec(4, 5, 3, 3, 4, 4, True, True, "President", "lower"), "PRESIDENT",
+         "president, senator"),
+    ], ids=["two-chambers", "class-id-and-chamber"])
+    def test_several_classes_up_to_case_are_refused(self, spec, name, matches):
+        with pytest.raises(SpecFileError, match=f"^player class {name!r} is ambiguous "
+                                                f"up to case; matches: {matches}$"):
+            resolve_class(spec, name)
+
+    def test_one_class_matched_twice_up_to_case(self):
+        spec = UsSpec(4, 5, 3, 3, 4, 4, True, True, "upper", "Representative")
+        assert resolve_class(spec, "REPRESENTATIVE") == "representative"
+        assert resolve_class(spec, "rep") == "representative"
+
     def test_unknown_class_lists_the_known_ones(self):
         spec = UsSpec(3, 4, 2, 3, 3, 4, True, False)
         with pytest.raises(SpecFileError,
