@@ -46,22 +46,11 @@ from .specfile import (
 )
 from .uslike import UsSpec
 
-# Above this many cells, `oracle` enumerates the 2^n bitmask table instead of
-# the seat-count lattice.  The lattice costs one Python rule call and one step
-# per axis for each cell; the table costs numpy's import (about 0.15 s) plus
-# vectorised work that doubles with each player.  So few large chambers favour
-# the lattice and many one-seat chambers (up to 2^25 cells) the table.  CLI
-# wall times, lattice versus table (2-core host, Python 3.11, numpy 2.4):
-#   31,250 cells, 6 four-seat chambers + 1 seat:      0.15 s vs 0.87 s
-#   65,536 cells, 16 one-seat chambers:               0.27 s vs 0.19 s
-#   131,072 cells, 8 three-seat chambers + 1 seat:    0.34 s vs 0.95 s
-#   131,072 cells, 17 one-seat chambers:              0.51 s vs 0.21 s
-#   157,464 cells, 9 two-seat chambers + 7 seats:     0.54 s vs 1.14 s
-#   262,144 cells, 18 one-seat chambers:              1.08 s vs 0.24 s
-#   1,062,882 cells, 12 two-seat chambers + 1 seat:   3.40 s vs 1.25 s
-# At this bound the lattice loses at most about 0.3 s and every US-style spec
-# within the player bound stays on it.
-MAX_LATTICE_CELLS = 1 << 17
+# `oracle` refuses a spec whose seat-count lattice has more cells than this,
+# before any per-cell work.  The worst case at the bound, 20 one-seat
+# chambers, takes about 4 s and 25 MB for the whole run (2-core host,
+# Python 3.11).
+MAX_LATTICE_CELLS = 1 << 20
 
 
 def _meta(args: argparse.Namespace, command: str,
@@ -187,32 +176,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _enumerated_vectors(spec: Legislature) -> dict[str, CountVector]:
-    """Every class's critical numbers by exhaustive enumeration: over the
-    seat-count lattice, or over the 2^n bitmask table where the lattice has
-    more than ``MAX_LATTICE_CELLS`` cells."""
-    if lattice.cell_count(spec) <= MAX_LATTICE_CELLS:
-        return lattice.critical_vectors(spec)
-    # Only the table needs numpy; importing it here keeps every other route's
-    # start-up free of numpy's import time.
-    from . import oracle
-
-    try:
-        game = oracle.from_spec(spec)
-    except oracle.GameAxiomError as exc:
-        raise lattice.RuleAxiomError(str(exc)) from exc
-    return {class_id: oracle.critical_vector(game, game.players(class_id)[0])
-            for class_id in spec.class_ids()}
-
-
 def cmd_oracle(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.specfile)
-    try:
-        lattice.check_players(spec)
-    except lattice.GameSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    cells = lattice.cell_count(spec)
+    if cells > MAX_LATTICE_CELLS:
+        print(f"error: spec has {cells} lattice cells, enumeration bound is {MAX_LATTICE_CELLS}",
+              file=sys.stderr)
         return 3
-    enumerated = _enumerated_vectors(spec)
+    enumerated = lattice.critical_vectors(spec)
     report = Report(_meta(args, "oracle", spec))
     sec = report.section("oracle", "closed form versus exhaustive enumeration",
                          ("class", "status", "detail"))
@@ -327,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(func=cmd_compare)
 
     p_oracle = sub.add_parser("oracle", parents=[common],
-                              help="cross-validate closed forms by exhaustive enumeration")
+                              help="cross-validate closed forms by enumerating seat counts")
     p_oracle.add_argument("specfile")
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -30,13 +30,6 @@ from .chambers import MulticamSpec
 from .counting import CountVector
 from .uslike import PlayerClass, UsSpec
 
-# Exhaustive enumeration, by either route, is offered up to this many players.
-MAX_PLAYERS = 25
-
-
-class GameSizeError(ValueError):
-    """The game exceeds the exhaustive-enumeration player bound."""
-
 
 class RuleAxiomError(RuntimeError):
     """A spec's passage rule breaks a simple-game axiom.
@@ -44,14 +37,6 @@ class RuleAxiomError(RuntimeError):
     Spec validation keeps every quota within 1..size, which makes every spec a
     simple game, so this is an internal contradiction, not bad input.
     """
-
-
-def check_players(spec: MulticamSpec | UsSpec) -> None:
-    """Refuse a spec over the exhaustive bound, before anything per seat is built."""
-    if spec.total_players > MAX_PLAYERS:
-        raise GameSizeError(
-            f"spec has {spec.total_players} players, exhaustive bound is {MAX_PLAYERS}"
-        )
 
 
 def multicam_wins(spec: MulticamSpec, counts):

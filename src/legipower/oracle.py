@@ -2,7 +2,9 @@
 
 Games are stored as an explicit win table over all 2^n coalitions, and the
 three axioms (empty coalition loses, grand coalition wins, monotonicity) are
-checked exhaustively at construction.  A user's win predicate is evaluated
+checked exhaustively at construction.  The table bounds games to
+``MAX_PLAYERS`` (25) players; the bound is the table's own, as ``lattice``
+enumerates seat counts with none.  A user's win predicate is evaluated
 on every bitmask.  A spec's table is built with numpy instead, from the axes
 ``lattice.axes`` gives: every axis (a chamber, or a president or vice
 president) holds a contiguous range of bits, so one popcount vector per axis
@@ -23,8 +25,15 @@ import numpy as np
 
 from .chambers import MulticamSpec
 from .counting import CountVector
-from .lattice import MAX_PLAYERS, GameSizeError, axes, check_players
+from .lattice import axes
 from .uslike import UsSpec
+
+# A win table holds 2^n outcomes, so it is built up to this many players.
+MAX_PLAYERS = 25
+
+
+class GameSizeError(ValueError):
+    """The game exceeds the bitmask table's player bound."""
 
 
 class GameAxiomError(ValueError):
@@ -204,7 +213,10 @@ def from_spec(spec: MulticamSpec | UsSpec) -> SimpleGame:
     so refusing a huge spec costs nothing that grows with its seats.
     """
     layout, wins = axes(spec)
-    check_players(spec)
+    if spec.total_players > MAX_PLAYERS:
+        raise GameSizeError(
+            f"spec has {spec.total_players} players, exhaustive bound is {MAX_PLAYERS}"
+        )
     labels = [name for name, seats in layout for _ in range(seats)]
     # Axis j takes the bits above axes 0..j-1: the broadcast axis just
     # outside theirs, as broadcasting aligns axes from the right.  An absent

@@ -9,6 +9,7 @@ columns: section, field1, field2, field3, value, approx.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -49,6 +50,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def approx_rational(value: Fraction) -> str:
+    if 0 < abs(value) < Fraction(sys.float_info.min):  # float() would lose digits
+        return format(Decimal(value.numerator) / Decimal(value.denominator), ".6e")
     return f"{float(value):.6e}"
 
 

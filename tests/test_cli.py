@@ -30,7 +30,7 @@ MINI_US = {
     },
 }
 
-# 2^18 cells: above the lattice bound, so `oracle` enumerates the bitmask table.
+# 2^18 lattice cells, the most of any spec here: many chambers of one seat.
 ONE_SEAT_CHAMBERS = {
     "chambers": [{"name": f"seat{i}", "size": 1, "quota": 1} for i in range(18)],
 }
@@ -237,25 +237,28 @@ class TestOracle:
             ["senate", "MISMATCH", "size 6: closed 9, enumerated 10"],
         ]
 
-    def test_bound_checked_before_building_the_table(self, capsys, write_spec, monkeypatch):
-        from legipower import lattice, oracle
+    def test_cell_bound_checked_before_enumerating(self, capsys, write_spec, monkeypatch):
+        from legipower import lattice
 
         def never(spec):
-            raise AssertionError("table built for a spec over the bound")
+            raise AssertionError("lattice enumerated for a spec over the bound")
 
-        monkeypatch.setattr(oracle, "from_spec", never)
         monkeypatch.setattr(lattice, "critical_vectors", never)
         spec = {"chambers": [{"name": "hall", "size": 10_000_000, "quota": 5_000_001}]}
         code, out, err = _run(capsys, "oracle", write_spec(spec), "--no-meta")
         assert (code, out) == (3, "")
-        assert err == "error: spec has 10000000 players, exhaustive bound is 25\n"
+        assert err == "error: spec has 10000001 lattice cells, enumeration bound is 1048576\n"
 
-    def test_full_us_exceeds_bound(self, capsys, write_spec):
-        code, _, err = _run(capsys, "oracle", write_spec(FULL_US))
-        assert code == 3
-        assert "25" in err
+    def test_full_us_matches(self, capsys, write_spec):
+        code, out, err = _run(capsys, "oracle", write_spec(FULL_US), "--format", "json",
+                              "--no-meta")
+        assert (code, err) == (0, "")
+        assert [row[:2] for row in _rows(out, "oracle")] == [
+            ["president", "match"], ["vice_president", "match"],
+            ["senator", "match"], ["representative", "match"],
+        ]
 
-    @pytest.mark.parametrize("spec", [BICAM, ONE_SEAT_CHAMBERS], ids=["lattice", "table"])
+    @pytest.mark.parametrize("spec", [BICAM, ONE_SEAT_CHAMBERS], ids=["lattice", "many-chambers"])
     def test_rule_axiom_failure_is_an_internal_error(self, capsys, write_spec, monkeypatch, spec):
         from legipower import lattice
 
@@ -264,7 +267,6 @@ class TestOracle:
             seats = sum(counts)
             return (seats == 1) | (seats == spec.total_players)
 
-        # Both routes read the rule from `lattice.axes`, so one patch reaches both.
         monkeypatch.setattr(lattice, "multicam_wins", one_seat_wins)
         code, out, err = _run(capsys, "oracle", write_spec(spec), "--no-meta")
         assert (code, out) == (4, "")
@@ -405,12 +407,12 @@ class TestStartUp:
         "print(code, 'numpy' in sys.modules)\n"
     )
 
-    @pytest.mark.parametrize("command, spec, loaded", [
-        ("analyze", BICAM, False),
-        ("oracle", BICAM, False),
-        ("oracle", ONE_SEAT_CHAMBERS, True),
-    ], ids=["analyze", "oracle-lattice", "oracle-table"])
-    def test_numpy_loads_only_for_the_oracle_table(self, write_spec, command, spec, loaded):
+    @pytest.mark.parametrize("command, spec", [
+        ("analyze", BICAM),
+        ("oracle", BICAM),
+        ("oracle", ONE_SEAT_CHAMBERS),
+    ], ids=["analyze", "oracle", "oracle-many-chambers"])
+    def test_no_command_loads_numpy(self, write_spec, command, spec):
         src = str(Path(legipower.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
@@ -420,7 +422,7 @@ class TestStartUp:
             env={**os.environ, "PYTHONPATH": path},
         )
         lines = proc.stdout.splitlines()
-        assert (lines[0], lines[-1]) == ("False", f"0 {loaded}"), proc.stderr
+        assert (lines[0], lines[-1]) == ("False", "0 False"), proc.stderr
         if command == "oracle":
             rows = _rows("\n".join(lines[1:-1]), "oracle")
             assert [row[1] for row in rows] == ["match"] * len(spec["chambers"])
@@ -437,6 +439,15 @@ class TestFailureExits:
         assert code == 0
         approx = {(r[0], r[1]): r[3] for r in _rows(out, "critical_vectors")}
         assert approx[("upper", "652")] == "1.068181e+388"
+
+    def test_approx_below_float_range(self, capsys, write_spec):
+        spec = {"chambers": [{"name": "a", "size": 1100, "quota": 1100}]}
+        code, out, _ = _run(capsys, "analyze", write_spec(spec), "--approx",
+                            "--format", "json", "--no-meta")
+        assert code == 0
+        [[_, _, value, approx]] = _rows(out, "index_values")
+        assert value == f"1/{2 ** 1099}"
+        assert approx == "1.472430e-331"
 
     def test_certificate_contradiction_is_an_internal_error(self, capsys, monkeypatch):
         from legipower import chambers

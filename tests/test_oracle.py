@@ -369,6 +369,25 @@ def _assert_enumerations_match(spec: MulticamSpec) -> SimpleGame:
     return game
 
 
+def _lattice_sizes(data, chambers: int, most: int, cells: int = 40_000) -> list[int]:
+    """Chamber sizes of at most ``most`` seats whose lattice, prod (m_i + 1),
+    stays within ``cells``."""
+    sizes = []
+    for left in range(chambers - 1, -1, -1):
+        # Leave two cells, one seat, for every chamber still to draw.
+        m = data.draw(st.integers(1, min(most, cells // 2 ** left - 1)))
+        cells //= m + 1
+        sizes.append(m)
+    return sizes
+
+
+def _assert_lattice_matches_the_closed_forms(spec: MulticamSpec | UsSpec) -> None:
+    counted = lattice.critical_vectors(spec)
+    assert list(counted) == list(spec.class_ids()), spec
+    for class_id in spec.class_ids():
+        assert counted[class_id] == spec.critical_vector(class_id), (spec, class_id)
+
+
 class TestLattice:
     @pytest.mark.parametrize("spec", [
         UsSpec(),
@@ -392,6 +411,26 @@ class TestLattice:
             assert president[503] == senator[503] == comb(100, 66)
         if spec.house_quota == 401:
             assert senator[503] == comb(99, 66)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_multicameral_specs_of_hundreds_of_seats(self, data):
+        chambers = data.draw(st.integers(2, 3), label="chambers")
+        spec = MulticamSpec(tuple(
+            ChamberSpec(f"c{i}", m, data.draw(st.integers(1, m)))
+            for i, m in enumerate(_lattice_sizes(data, chambers, 300))
+        ))
+        _assert_lattice_matches_the_closed_forms(spec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_us_style_specs_of_hundreds_of_seats(self, data):
+        president, vp = data.draw(st.booleans()), data.draw(st.booleans())
+        senate, house = _lattice_sizes(data, 2, 150, 40_000 // ((1 + president) * (1 + vp)))
+        quota = lambda m: data.draw(st.integers(1, m))
+        spec = UsSpec(senate, house, quota(senate), quota(house), quota(senate), quota(house),
+                      president, vp)
+        _assert_lattice_matches_the_closed_forms(spec)
 
     def test_imports_no_closed_form_and_no_numpy(self):
         tree = ast.parse(Path(lattice.__file__).read_text())
