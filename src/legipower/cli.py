@@ -46,10 +46,10 @@ from .specfile import (
 )
 from .uslike import UsSpec
 
-# `oracle` refuses a spec whose seat-count lattice has more cells than this,
-# before any per-cell work.  The worst case at the bound, 20 one-seat
-# chambers, takes about 4 s and 25 MB for the whole run (2-core host,
-# Python 3.11).
+# `oracle` refuses a spec of more seat-count lattice cells than this before any
+# per-cell work.  At the bound, 20 one-seat chambers take 4 s and 25 MB, and one
+# chamber of 2^20 - 1 seats 1 s and 64 MB (2-core host, Python 3.11).  It caps
+# the sweep, not the exact counts, which the closed forms build as well.
 MAX_LATTICE_CELLS = 1 << 20
 
 

@@ -93,7 +93,8 @@ def critical_vectors(spec: MulticamSpec | UsSpec) -> dict[str, CountVector]:
     The sweep also audits the axioms on the lattice (the empty cell loses, the
     full cell wins, and winning is monotone in every coordinate) and raises
     ``RuleAxiomError`` with the first broken one.  It has no size bound:
-    the work is ``cell_count(spec)`` rule calls.
+    the work is ``cell_count(spec)`` rule calls, and binomials made only in
+    critical cells (a whole row of 10^6 seats would not fit in memory).
     """
     layout, wins = axes(spec)
     seats = [m for _, m in layout]
@@ -105,7 +106,15 @@ def critical_vectors(spec: MulticamSpec | UsSpec) -> dict[str, CountVector]:
         raise RuleAxiomError(f"full-cell-loses: {tuple(seats)}")
     # The index of a cell in product order, and so of its neighbour a_j - 1.
     strides = [prod(m + 1 for m in seats[j + 1:]) for j in range(len(seats))]
-    rows = [[comb(m, a) for a in range(m + 1)] for m in seats]
+    # Each binomial is one step from C(m, a - 1) where that one is known.
+    binoms: dict[tuple[int, int], int] = {}
+
+    def binom(m: int, a: int) -> int:
+        if (m, a) not in binoms:
+            below = binoms.get((m, a - 1))
+            binoms[m, a] = comb(m, a) if below is None else below * (m - a + 1) // a
+        return binoms[m, a]
+
     counts: list[dict[int, int]] = [{} for _ in seats]
     for index, cell in enumerate(product(*ranges)):
         here = won[index]
@@ -116,7 +125,7 @@ def critical_vectors(spec: MulticamSpec | UsSpec) -> dict[str, CountVector]:
                 lower = cell[:j] + (a - 1,) + cell[j + 1:]
                 raise RuleAxiomError(f"not-monotone: cell {lower} wins but {cell} loses")
             # C(m_j - 1, a_j - 1) = C(m_j, a_j) * a_j / m_j, exactly.
-            weight = prod(row[c] for row, c in zip(rows, cell)) * a // seats[j]
+            weight = prod(binom(m, c) for m, c in zip(seats, cell)) * a // seats[j]
             size = sum(cell)
             counts[j][size] = counts[j].get(size, 0) + weight
     return {name: CountVector(counts[j]) for j, (name, m) in enumerate(layout) if m}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
 ELIDE_DIGITS = 120
@@ -51,7 +51,9 @@ def format_rational(value: Fraction) -> str:
 
 def approx_rational(value: Fraction) -> str:
     if 0 < abs(value) < Fraction(sys.float_info.min):  # float() would lose digits
-        return format(Decimal(value.numerator) / Decimal(value.denominator), ".6e")
+        # Rounded once to 7 digits; no fraction in memory is below MIN_EMIN.
+        rounded = Context(prec=7, Emin=MIN_EMIN).divide(value.numerator, value.denominator)
+        return format(rounded, ".6e")
     return f"{float(value):.6e}"
 
 

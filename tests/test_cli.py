@@ -249,6 +249,27 @@ class TestOracle:
         assert (code, out) == (3, "")
         assert err == "error: spec has 10000001 lattice cells, enumeration bound is 1048576\n"
 
+    def test_one_large_chamber_at_the_bound_runs_in_bounded_memory(self, write_spec):
+        # 2^20 cells on one axis: a whole binomial row of 2^20 - 1 seats
+        # would need about 90 GB, so only the critical cell's binomial may be made.
+        import resource
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        spec = {"chambers": [{"name": "hall", "size": (1 << 20) - 1, "quota": 3}]}
+        src = str(Path(legipower.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, legipower.cli; sys.exit(legipower.cli.main(sys.argv[1:]))",
+             "oracle", write_spec(spec), "--format", "json", "--no-meta"],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH"))))},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert _rows(proc.stdout, "oracle") == [["hall", "match", "1 sizes"]]
+
     def test_full_us_matches(self, capsys, write_spec):
         code, out, err = _run(capsys, "oracle", write_spec(FULL_US), "--format", "json",
                               "--no-meta")
