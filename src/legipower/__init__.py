@@ -10,8 +10,6 @@ from .chambers import (
     CaseClass,
     CertificationMismatchError,
     ChamberSpec,
-    ComparisonVerdict,
-    MemberRelation,
     MulticamSpec,
     classify_bicameral,
     compare_members,
@@ -70,10 +68,8 @@ __all__ = [
     "CertificationMismatchError",
     "ChamberSpec",
     "CoalitionTemplate",
-    "ComparisonVerdict",
     "CountVector",
     "Dominance",
-    "MemberRelation",
     "MulticamSpec",
     "PlayerClass",
     "PoolConstraint",

@@ -3,8 +3,8 @@
 A legislature passes a motion when every chamber meets its quota.  A member's
 critical number at size k factors into the member's own quota core times the
 joint quota count of the remaining chambers; member-versus-member comparisons
-are computed exactly and cross-checked against the certificate route where it
-applies.
+are ``weak_desirability`` relations, computed exactly and cross-checked against
+the certificate route where it applies.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from enum import Enum
 
 from .combinat import CertOutcome, binomial, certify_comparison
 from .counting import CountVector, joint_quota_vector
-from .semivalues import size_signs
+from .semivalues import Relation, size_signs, weak_desirability
 
 
 def majority_quota(size: int) -> int:
@@ -102,83 +102,44 @@ def member_critical_vector(spec: MulticamSpec, chamber: str) -> CountVector:
     return CountVector({k + own.quota: core * v for k, v in rest.items()})
 
 
-class MemberRelation(Enum):
-    STRICT_DOMINANCE = "strict-dominance"
-    WEAK_DOMINANCE = "weak-dominance"
-    EQUAL = "equal"
-    CROSSOVER = "crossover"
-
-
-@dataclass(frozen=True)
-class ComparisonVerdict:
-    """Outcome of comparing two chambers' member critical vectors.
-
-    ``dominant`` names the chamber ahead overall (for CROSSOVER, the side
-    ahead at the top of the shared range); ``crossover_sizes`` lists the sizes
-    where the other side is strictly ahead, and is empty unless the relation
-    is CROSSOVER.  ``per_k`` gives the sign of (first minus second) at every
-    size where either vector is nonzero.
-    """
-
-    relation: MemberRelation
-    dominant: str | None
-    crossover_sizes: frozenset[int]
-    per_k: tuple[tuple[int, int], ...]
-
-
 class CertificationMismatchError(RuntimeError):
     """A certificate contradicted direct evaluation; the implementation is wrong."""
 
 
-def _cross_check_certificate(spec: MulticamSpec, a: ChamberSpec, b: ChamberSpec,
-                             signs: dict[int, int]) -> None:
-    if len(spec.chambers) != 2:
-        return
-    if not (1 < a.quota < a.size and 1 < b.quota < b.size):
-        return
-    for k, verdict in certify_comparison(a.size, a.quota, b.size, b.quota).items():
-        if verdict.outcome is CertOutcome.CERTIFIED_GREATER and signs.get(k, 0) <= 0:
-            raise CertificationMismatchError(
-                f"certificate says {a.name} member ahead at size {k}, evaluation disagrees"
-            )
-        if verdict.outcome is CertOutcome.CERTIFIED_EQUAL and signs.get(k, 0) != 0:
-            raise CertificationMismatchError(
-                f"certificate says equality at size {k}, evaluation disagrees"
-            )
+def _member_signs(spec: MulticamSpec, a: str, b: str
+                  ) -> tuple[CountVector, CountVector, dict[int, int]]:
+    """Both members' critical vectors and ``size_signs`` of (a minus b).
 
-
-def compare_members(spec: MulticamSpec, a: str, b: str) -> ComparisonVerdict:
-    """Compare one member of chamber ``a`` against one member of chamber ``b``.
-
-    STRICT_DOMINANCE means the first member's critical number is strictly
-    larger at every size where the two are not both zero; WEAK_DOMINANCE
-    allows ties.  Swapping the arguments inverts the verdict.
+    For two chambers with interior quotas the certificate route's verdicts are
+    checked against those signs first.
     """
     if a == b:
         raise ValueError("compare_members needs two distinct chambers")
-    ca = spec.chamber(a)
-    cb = spec.chamber(b)
+    ca, cb = spec.chamber(a), spec.chamber(b)
     va = member_critical_vector(spec, a)
     vb = member_critical_vector(spec, b)
-
     signs = size_signs(va, vb)
-    _cross_check_certificate(spec, ca, cb, signs)
+    if len(spec.chambers) == 2 and 1 < ca.quota < ca.size and 1 < cb.quota < cb.size:
+        for k, verdict in certify_comparison(ca.size, ca.quota, cb.size, cb.quota).items():
+            if verdict.outcome is CertOutcome.CERTIFIED_GREATER and signs.get(k, 0) <= 0:
+                raise CertificationMismatchError(
+                    f"certificate says {a} member ahead at size {k}, evaluation disagrees"
+                )
+            if verdict.outcome is CertOutcome.CERTIFIED_EQUAL and signs.get(k, 0) != 0:
+                raise CertificationMismatchError(
+                    f"certificate says equality at size {k}, evaluation disagrees"
+                )
+    return va, vb, signs
 
-    per_k = tuple(signs.items())
-    has_pos = any(s > 0 for s in signs.values())
-    has_neg = any(s < 0 for s in signs.values())
 
-    if not has_pos and not has_neg:
-        return ComparisonVerdict(MemberRelation.EQUAL, None, frozenset(), per_k)
-    if has_pos and has_neg:
-        top_sign = next(s for _, s in reversed(per_k) if s != 0)
-        dominant = a if top_sign > 0 else b
-        cross = frozenset(k for k, s in signs.items() if s == -top_sign)
-        return ComparisonVerdict(MemberRelation.CROSSOVER, dominant, cross, per_k)
-    dominant = a if has_pos else b
-    strict = 0 not in signs.values()
-    relation = MemberRelation.STRICT_DOMINANCE if strict else MemberRelation.WEAK_DOMINANCE
-    return ComparisonVerdict(relation, dominant, frozenset(), per_k)
+def compare_members(spec: MulticamSpec, a: str, b: str) -> Relation:
+    """``weak_desirability`` of a member of chamber ``a`` against one of chamber ``b``.
+
+    The certificate route cross-checks the comparison first where it applies.
+    Swapping the arguments mirrors the relation.
+    """
+    va, vb, _ = _member_signs(spec, a, b)
+    return weak_desirability(va, vb)
 
 
 class CaseClass(Enum):
@@ -217,7 +178,7 @@ def classify_bicameral(m_small: int, m_large: int) -> CaseClass:
 def crossover_sizes(m_small: int, q_small: int, m_large: int, q_large: int) -> frozenset[int]:
     """Sizes where the larger chamber's member is strictly ahead.
 
-    Read off ``compare_members`` (so the certificate cross-check runs too); by
+    Read off the certificate-checked signs that ``compare_members`` uses; by
     the single-crossing behaviour of the underlying comparison the result is a
     prefix of the range where the larger chamber's member is critical
     (possibly empty, possibly all of it).
@@ -226,4 +187,5 @@ def crossover_sizes(m_small: int, q_small: int, m_large: int, q_large: int) -> f
         raise ValueError(f"need m_small < m_large, got {m_small}, {m_large}")
     spec = MulticamSpec((ChamberSpec("small", m_small, q_small),
                          ChamberSpec("large", m_large, q_large)))
-    return frozenset(k for k, s in compare_members(spec, "small", "large").per_k if s < 0)
+    _, _, signs = _member_signs(spec, "small", "large")
+    return frozenset(k for k, s in signs.items() if s < 0)

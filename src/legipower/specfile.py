@@ -187,6 +187,8 @@ def load_spec_file(path: str | Path) -> Legislature:
         document = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecFileError(f"{path}: JSON nested too deeply") from exc
     except SpecFileError as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
     return parse_spec(document)

@@ -2,16 +2,21 @@ import pytest
 
 from legipower import (
     CaseClass,
+    CertificationMismatchError,
     ChamberSpec,
-    MemberRelation,
+    Dominance,
     MulticamSpec,
+    Relation,
     classify_bicameral,
     compare_members,
     crossover_sizes,
     majority_quota,
     member_critical_vector,
 )
+from legipower import chambers
+from legipower.combinat import CertBasis, CertOutcome, CertVerdict
 from legipower.oracle import critical_vector, from_spec
+from legipower.semivalues import size_signs
 
 
 def _bicam(m_a, q_a, m_b, q_b):
@@ -96,50 +101,74 @@ class TestMemberCriticalVector:
             assert member_critical_vector(spec, chamber.name) == critical_vector(game, player)
 
 
+_MIRROR = {
+    Dominance.STRICTLY_ABOVE: Dominance.STRICTLY_BELOW,
+    Dominance.WEAKLY_ABOVE: Dominance.WEAKLY_BELOW,
+    Dominance.EQUAL: Dominance.EQUAL,
+    Dominance.WEAKLY_BELOW: Dominance.WEAKLY_ABOVE,
+    Dominance.STRICTLY_BELOW: Dominance.STRICTLY_ABOVE,
+    Dominance.INCOMPARABLE: Dominance.INCOMPARABLE,
+}
+
+
+def _signs(spec, a, b):
+    return size_signs(member_critical_vector(spec, a), member_critical_vector(spec, b))
+
+
 class TestCompareMembers:
     def test_both_odd_strict(self):
-        verdict = compare_members(_bicam(3, 2, 5, 3), "a", "b")
-        assert verdict.relation is MemberRelation.STRICT_DOMINANCE
-        assert verdict.dominant == "a"
-        assert verdict.crossover_sizes == frozenset()
+        assert compare_members(_bicam(3, 2, 5, 3), "a", "b") == Relation(Dominance.STRICTLY_ABOVE)
 
     def test_adjacent_sizes_favour_larger_chamber(self):
-        verdict = compare_members(_bicam(3, 2, 4, 3), "a", "b")
-        assert verdict.relation is MemberRelation.STRICT_DOMINANCE
-        assert verdict.dominant == "b"
+        relation = compare_members(_bicam(3, 2, 4, 3), "a", "b")
+        assert relation.kind is Dominance.STRICTLY_BELOW
 
     def test_double_size_weak_dominance(self):
-        verdict = compare_members(_bicam(3, 2, 6, 4), "a", "b")
-        assert verdict.relation is MemberRelation.WEAK_DOMINANCE
-        assert verdict.dominant == "a"
-        assert dict(verdict.per_k)[6] == 0
-        assert dict(verdict.per_k)[7] == 1
+        spec = _bicam(3, 2, 6, 4)
+        assert compare_members(spec, "a", "b").kind is Dominance.WEAKLY_ABOVE
+        signs = _signs(spec, "a", "b")
+        assert signs[6] == 0
+        assert signs[7] == 1
 
     def test_crossover_relation(self):
         spec = _bicam(5, 3, 8, 5)  # odd/even with 5 < 8 < 10: a middle case
-        verdict = compare_members(spec, "a", "b")
-        assert verdict.relation is MemberRelation.CROSSOVER
-        assert verdict.dominant == "a"
-        assert verdict.crossover_sizes == frozenset({8, 9})
+        relation = compare_members(spec, "a", "b")
+        assert relation == Relation(Dominance.INCOMPARABLE, witness=(10, 8))
+        signs = _signs(spec, "a", "b")
+        assert {k for k, s in signs.items() if s < 0} == {8, 9}
+        assert signs[max(signs)] == 1  # "a" is ahead at the top size
 
     def test_antisymmetry(self):
         for args in [(3, 2, 5, 3), (3, 2, 4, 3), (3, 2, 6, 4), (5, 3, 8, 5)]:
             spec = _bicam(*args)
             forward = compare_members(spec, "a", "b")
             backward = compare_members(spec, "b", "a")
-            assert forward.relation is backward.relation
-            assert forward.dominant == backward.dominant
-            assert forward.crossover_sizes == backward.crossover_sizes
-            assert dict(backward.per_k) == {k: -s for k, s in forward.per_k}
+            assert backward.kind is _MIRROR[forward.kind]
+            assert backward.witness == (forward.witness and forward.witness[::-1])
+            assert _signs(spec, "b", "a") == {
+                k: -s for k, s in _signs(spec, "a", "b").items()}
 
     def test_identical_chambers_equal(self):
-        verdict = compare_members(_bicam(4, 3, 4, 3), "a", "b")
-        assert verdict.relation is MemberRelation.EQUAL
-        assert verdict.dominant is None
+        assert compare_members(_bicam(4, 3, 4, 3), "a", "b") == Relation(Dominance.EQUAL)
 
     def test_same_chamber_rejected(self):
         with pytest.raises(ValueError):
             compare_members(_bicam(3, 2, 5, 3), "a", "a")
+
+    def test_unknown_chamber_rejected(self):
+        with pytest.raises(KeyError):
+            compare_members(_bicam(3, 2, 5, 3), "a", "c")
+
+    def test_certificate_contradiction_raises(self, monkeypatch):
+        # (3, 2, 5, 3) is strict dominance for "a"; a certificate of equality
+        # at every size contradicts it.
+        def wrong(m_a, q_a, m_b, q_b):
+            equal = CertVerdict(CertOutcome.CERTIFIED_EQUAL, CertBasis.MIN_SIZE_RATIO)
+            return {k: equal for k in range(q_a + q_b, max(q_a + m_b, q_b + m_a) + 1)}
+
+        monkeypatch.setattr(chambers, "certify_comparison", wrong)
+        with pytest.raises(CertificationMismatchError, match="certificate says equality"):
+            compare_members(_bicam(3, 2, 5, 3), "a", "b")
 
     def test_quota_share_dominance_on_grid(self):
         # Whenever the smaller chamber needs the larger share of its members
@@ -153,10 +182,8 @@ class TestCompareMembers:
                             continue
                         if m_b - q_b < m_a - q_a:
                             continue
-                        verdict = compare_members(_bicam(m_a, q_a, m_b, q_b), "a", "b")
-                        assert verdict.relation is MemberRelation.STRICT_DOMINANCE, \
-                            (m_a, q_a, m_b, q_b)
-                        assert verdict.dominant == "a"
+                        relation = compare_members(_bicam(m_a, q_a, m_b, q_b), "a", "b")
+                        assert relation.kind is Dominance.STRICTLY_ABOVE, (m_a, q_a, m_b, q_b)
 
 
 class TestClassifyBicameral:

@@ -398,6 +398,13 @@ class TestStrictSpecs:
         assert (code, out) == (2, "")
         assert "chamber names must be unique" in err
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = _run(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: JSON nested too deeply\n"
+
 
 class TestLargeCounts:
     # C(15000, 7500) has 4515 digits, past Python's default 4300-digit limit

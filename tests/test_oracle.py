@@ -16,6 +16,7 @@ from legipower import (
     lattice,
     majority_quota,
     member_critical_vector,
+    supermajority_scan,
     weak_desirability,
 )
 from legipower.oracle import (
@@ -411,6 +412,16 @@ class TestLattice:
             assert president[503] == senator[503] == comb(100, 66)
         if spec.house_quota == 401:
             assert senator[503] == comb(99, 66)
+
+    @pytest.mark.parametrize("quota", range(51, 101))
+    def test_senate_quota_scan_matches_supermajority_scan(self, quota):
+        # Every row of the criterion-7 scan, by the lattice instead of the
+        # closed forms.
+        [(_, senator_vs_rep, president_vs_senator)] = supermajority_scan(UsSpec(), [quota])
+        counted = lattice.critical_vectors(UsSpec(senate_quota=quota))
+        senator = counted["senator"]
+        assert weak_desirability(senator, counted["representative"]) == senator_vs_rep
+        assert weak_desirability(counted["president"], senator) == president_vs_senator
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
