@@ -1,9 +1,10 @@
 """Exact voting-power analysis for multicameral legislatures.
 
 Closed-form member critical numbers, arbitrary semivalue power indices,
-weak-desirability rankings, and a brute-force coalition-enumeration oracle
-that cross-validates every closed form.  All arithmetic is exact: big
-integers and rationals throughout, no floating point on any decision path.
+weak-desirability rankings, and an exhaustive enumeration of the seat-count
+lattice (``lattice``) that cross-validates every closed form.  All arithmetic
+is exact: big integers and rationals throughout, no floating point on any
+decision path.
 """
 
 from .chambers import (
@@ -41,7 +42,6 @@ from .semivalues import (
     Relation,
     WeightingVector,
     banzhaf,
-    distinguishing_indices,
     evaluate,
     point_mass,
     shapley_shubik,
@@ -55,7 +55,6 @@ from .uslike import (
     critical_templates,
     ranking,
     supermajority_scan,
-    vp_rep_sign_table,
 )
 
 __version__ = "1.0.0"
@@ -88,7 +87,6 @@ __all__ = [
     "critical_product_greater",
     "critical_templates",
     "crossover_sizes",
-    "distinguishing_indices",
     "evaluate",
     "growth_ratio",
     "joint_quota_vector",
@@ -100,6 +98,5 @@ __all__ = [
     "sum_counts",
     "supermajority_scan",
     "template_counts",
-    "vp_rep_sign_table",
     "weak_desirability",
 ]

@@ -15,9 +15,8 @@ module needs ``math.comb`` and the passage rule only, and shares nothing with
 the closed forms it validates.
 
 The passage rules are written once, with ``&``, ``|``, ``>=`` and ``==``
-only, so the same functions decide a cell of Python ints here and every
-bitmask of a numpy popcount table in ``oracle``.  This module imports no
-numpy.
+only, so the same functions decide a cell of Python ints here and, in the
+test suite, every bitmask of a popcount array at once.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def us_wins(spec: UsSpec, p, v, s, r):
 def axes(spec: MulticamSpec | UsSpec) -> tuple[list[tuple[str, int]], Callable[..., object]]:
     """(class id, seats) per lattice axis, and the passage rule on a cell.
 
-    The axis order is also the bit order of ``oracle``'s bitmask table,
+    The axis order is also the bit order of the test suite's bitmask table,
     lowest bits first: axis j's seats take the bits just above axis j - 1's.
     """
     if isinstance(spec, MulticamSpec):

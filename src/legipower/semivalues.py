@@ -156,20 +156,3 @@ def weak_desirability(ci: CountVector, cj: CountVector) -> Relation:
     if above:
         return Relation(Dominance.STRICTLY_ABOVE if strict else Dominance.WEAKLY_ABOVE)
     return Relation(Dominance.STRICTLY_BELOW if strict else Dominance.WEAKLY_BELOW)
-
-
-def distinguishing_indices(
-    ci: CountVector, cj: CountVector, n: int
-) -> tuple[WeightingVector, WeightingVector] | None:
-    """Two point-mass indices ranking the players in opposite orders.
-
-    Defined exactly when the vectors are incomparable; the first index ranks
-    the first player strictly higher, the second does the reverse.  Point
-    masses are the smallest certificates: each can be audited by looking at a
-    single coalition size.
-    """
-    rel = weak_desirability(ci, cj)
-    if rel.kind is not Dominance.INCOMPARABLE:
-        return None
-    k, m = rel.witness
-    return point_mass(n, k), point_mass(n, m)

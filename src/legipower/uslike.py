@@ -19,14 +19,7 @@ from itertools import groupby
 from typing import Iterable
 
 from .counting import CoalitionTemplate, CountVector, PoolConstraint, sum_counts, template_counts
-from .semivalues import (
-    Relation,
-    WeightingVector,
-    competition_ranks,
-    evaluate,
-    size_signs,
-    weak_desirability,
-)
+from .semivalues import Relation, WeightingVector, competition_ranks, evaluate, weak_desirability
 
 
 class PlayerClass(Enum):
@@ -201,16 +194,6 @@ def ranking(spec: UsSpec, w: WeightingVector) -> tuple[tuple[PlayerClass, Fracti
     """
     values = {cls: class_power(spec, cls, w) for cls in spec.classes()}
     return tuple((cls, value) for _, cls, value in competition_ranks(values))
-
-
-def vp_rep_sign_table(spec: UsSpec) -> dict[int, int]:
-    """Sign of (VP critical number minus representative critical number) per size.
-
-    Covers every size where either vector is nonzero; +1 means the vice
-    president is ahead, -1 the representative, 0 an exact tie.
-    """
-    return size_signs(class_critical_vector(spec, PlayerClass.VICE_PRESIDENT),
-                      class_critical_vector(spec, PlayerClass.REPRESENTATIVE))
 
 
 def supermajority_scan(

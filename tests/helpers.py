@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's code paths: binomials come
 from the Pascal recurrence, template counts from explicit subset enumeration,
-and the passage rules below are evaluated one bitmask at a time, the way the
-enumeration oracle's tables are defined.
+and the passage rules below are evaluated one bitmask at a time, the way
+``bitmask.rule_table`` defines a table, against which ``bitmask.from_spec``'s
+broadcast tables are checked.
 """
 
 from __future__ import annotations

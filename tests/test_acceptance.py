@@ -31,12 +31,12 @@ from legipower import (
     ranking,
     shapley_shubik,
     supermajority_scan,
-    vp_rep_sign_table,
     weak_desirability,
     evaluate,
 )
 from legipower.combinat import CertOutcome
-from legipower.oracle import critical_vector, from_spec
+from legipower.semivalues import size_signs
+from bitmask import critical_vector, from_spec
 from helpers import MINI_US_SPECS
 
 
@@ -97,8 +97,9 @@ def test_criterion_2_banzhaf_and_shapley_rankings():
 
 
 def test_criterion_3_vp_versus_representative_sign_table():
-    signs = vp_rep_sign_table(UsSpec())
+    cv = class_critical_vector(UsSpec(), PlayerClass.VICE_PRESIDENT)
     cr = class_critical_vector(UsSpec(), PlayerClass.REPRESENTATIVE)
+    signs = size_signs(cv, cr)
     ok = all(signs[k] == 1 for k in range(270, 357))
     ok = ok and all(signs[k] == -1 for k in range(357, 380))
     ok = ok and all(signs[k] == 1 for k in range(380, 488))

@@ -15,8 +15,8 @@ from legipower import (
 )
 from legipower import chambers
 from legipower.combinat import CertBasis, CertOutcome, CertVerdict
-from legipower.oracle import critical_vector, from_spec
 from legipower.semivalues import size_signs
+from bitmask import critical_vector, from_spec
 
 
 def _bicam(m_a, q_a, m_b, q_b):

@@ -15,15 +15,14 @@ from legipower import (
     banzhaf,
     binomial,
     class_critical_vector,
-    distinguishing_indices,
     evaluate,
     member_critical_vector,
     point_mass,
     shapley_shubik,
     weak_desirability,
 )
-from legipower.oracle import critical_vector, from_spec
 from legipower.semivalues import competition_ranks
+from bitmask import critical_vector, from_spec
 
 
 @pytest.fixture(scope="module")
@@ -169,14 +168,15 @@ class TestWeakDesirability:
 
 
 class TestDistinguishingIndices:
+    # Point masses at an incomparable pair's two witness sizes rank it both ways.
     def test_none_for_comparable_vectors(self):
-        assert distinguishing_indices(CountVector({2: 2}), CountVector({2: 2}), 3) is None
-        assert distinguishing_indices(CountVector({2: 3}), CountVector({2: 2}), 3) is None
+        assert weak_desirability(CountVector({2: 2}), CountVector({2: 2})).witness is None
+        assert weak_desirability(CountVector({2: 3}), CountVector({2: 2})).witness is None
 
     def test_us_vp_vs_representative(self, us_vectors):
         cv = us_vectors[PlayerClass.VICE_PRESIDENT]
         cr = us_vectors[PlayerClass.REPRESENTATIVE]
-        pro, contra = distinguishing_indices(cv, cr, 537)
+        pro, contra = (point_mass(537, k) for k in weak_desirability(cv, cr).witness)
         assert pro.weight(270) > 0 and contra.weight(357) > 0
         assert evaluate(pro, cv) > evaluate(pro, cr)
         assert evaluate(contra, cv) < evaluate(contra, cr)
@@ -185,7 +185,7 @@ class TestDistinguishingIndices:
         spec = MulticamSpec((ChamberSpec("small", 101, 51), ChamberSpec("large", 150, 76)))
         v_small = member_critical_vector(spec, "small")
         v_large = member_critical_vector(spec, "large")
-        pro, contra = distinguishing_indices(v_large, v_small, 251)
+        pro, contra = (point_mass(251, k) for k in weak_desirability(v_large, v_small).witness)
         assert pro.weight(127) > 0
         assert contra.weight(129) > 0
         assert evaluate(pro, v_large) > evaluate(pro, v_small)

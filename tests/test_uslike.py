@@ -16,11 +16,11 @@ from legipower import (
     ranking,
     shapley_shubik,
     supermajority_scan,
-    vp_rep_sign_table,
     weak_desirability,
 )
 from legipower.counting import sum_counts, template_counts
-from legipower.oracle import critical_vector, from_spec
+from legipower.semivalues import size_signs
+from bitmask import critical_vector, from_spec
 from helpers import MINI_US_SPECS
 
 
@@ -153,7 +153,8 @@ class TestCriticalTemplates:
 
 class TestVpRepSignTable:
     def test_default_runs(self, default_vectors):
-        signs = vp_rep_sign_table(UsSpec())
+        signs = size_signs(default_vectors[PlayerClass.VICE_PRESIDENT],
+                           default_vectors[PlayerClass.REPRESENTATIVE])
         assert sorted(signs) == list(range(270, 488))
         assert all(signs[k] == 1 for k in range(270, 357))
         assert all(signs[k] == -1 for k in range(357, 380))
@@ -173,7 +174,8 @@ class TestVpRepSignTable:
         game = from_spec(spec)
         cv = critical_vector(game, game.players("vice_president")[0])
         cr = critical_vector(game, game.players("representative")[0])
-        signs = vp_rep_sign_table(spec)
+        signs = size_signs(class_critical_vector(spec, PlayerClass.VICE_PRESIDENT),
+                           class_critical_vector(spec, PlayerClass.REPRESENTATIVE))
         for k in signs:
             assert signs[k] == (cv[k] > cr[k]) - (cv[k] < cr[k])
 
