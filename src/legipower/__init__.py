@@ -33,7 +33,6 @@ from .counting import (
     CoalitionTemplate,
     CountVector,
     PoolConstraint,
-    joint_quota_vector,
     sum_counts,
     template_counts,
 )
@@ -51,7 +50,6 @@ from .uslike import (
     PlayerClass,
     UsSpec,
     class_critical_vector,
-    class_power,
     critical_templates,
     ranking,
     supermajority_scan,
@@ -80,7 +78,6 @@ __all__ = [
     "binomial_row",
     "certify_comparison",
     "class_critical_vector",
-    "class_power",
     "classify_bicameral",
     "compare_members",
     "count_ratio",
@@ -89,7 +86,6 @@ __all__ = [
     "crossover_sizes",
     "evaluate",
     "growth_ratio",
-    "joint_quota_vector",
     "majority_quota",
     "member_critical_vector",
     "point_mass",

@@ -1,10 +1,13 @@
 """Closed-form member critical numbers for multicameral legislatures.
 
-A legislature passes a motion when every chamber meets its quota.  A member's
-critical number at size k factors into the member's own quota core times the
-joint quota count of the remaining chambers; member-versus-member comparisons
-are ``weak_desirability`` relations, computed exactly and cross-checked against
-the certificate route where it applies.
+A legislature passes a motion when every chamber meets its quota.  A member
+of a chamber of m seats with quota q is critical in C(m-1, q-1) * U(k-q)
+coalitions of size k, where U is the counts of one ``CoalitionTemplate``
+picking quota..size seats from each other chamber.  The core stays a scalar:
+as a pool of m-1 seats it would build the whole binomial row of m-1 (see
+``test_one_large_chamber_at_the_bound_runs_in_bounded_memory``).  Member
+comparisons are ``weak_desirability`` relations, cross-checked against the
+certificate route where it applies.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .combinat import CertOutcome, binomial, certify_comparison
-from .counting import CountVector, joint_quota_vector
+from .counting import CoalitionTemplate, CountVector, PoolConstraint, template_counts
 from .semivalues import Relation, size_signs, weak_desirability
 
 
@@ -84,21 +87,19 @@ class MulticamSpec:
                 return c
         raise KeyError(f"no chamber named {name!r}")
 
-    def others(self, name: str) -> tuple[ChamberSpec, ...]:
-        self.chamber(name)
-        return tuple(c for c in self.chambers if c.name != name)
-
 
 def member_critical_vector(spec: MulticamSpec, chamber: str) -> CountVector:
     """Exact critical numbers of one member of the named chamber.
 
     At size k the member is critical in C(m-1, q-1) * U(k - q) coalitions,
-    where U counts joint quota-meeting picks from the remaining chambers
-    (U(0) = 1 for a single-chamber legislature).
+    where U is ``template_counts`` of one template: a pick of quota..size
+    seats from each other chamber, in chamber order (U(0) = 1 for a single
+    chamber).  The core stays a scalar, for the reason the module gives.
     """
     own = spec.chamber(chamber)
     core = binomial(own.size - 1, own.quota - 1)
-    rest = joint_quota_vector((c.size, c.quota) for c in spec.others(chamber))
+    rest = template_counts(CoalitionTemplate(0, tuple(
+        PoolConstraint(c.size, c.quota, c.size) for c in spec.chambers if c.name != chamber)))
     return CountVector({k + own.quota: core * v for k, v in rest.items()})
 
 

@@ -164,21 +164,6 @@ def template_counts(template: CoalitionTemplate) -> CountVector:
     return CountVector(enumerate(acc, offset))
 
 
-def joint_quota_vector(chambers: Iterable[tuple[int, int]]) -> CountVector:
-    """Counts of ways to take a quota-meeting subset from every chamber at once.
-
-    ``chambers`` is a sequence of (size, quota) pairs; the count at k is the
-    number of k-member unions with at least the quota taken from each chamber.
-    The empty chamber list yields the empty pick: count 1 at size 0.
-    """
-    pools = []
-    for size, quota in chambers:
-        if not 0 < quota <= size:
-            raise ValueError(f"need 0 < quota <= size, got size={size}, quota={quota}")
-        pools.append(PoolConstraint(size, quota, size))
-    return template_counts(CoalitionTemplate(0, tuple(pools)))
-
-
 def sum_counts(vectors: Iterable[CountVector]) -> CountVector:
     """Pointwise sum; callers guarantee the summed families are disjoint."""
     acc: dict[int, int] = {}

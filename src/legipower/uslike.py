@@ -177,22 +177,17 @@ def class_critical_vector(spec: UsSpec, cls: PlayerClass) -> CountVector:
     return sum_counts(template_counts(t) for t in critical_templates(spec, cls))
 
 
-def class_power(spec: UsSpec, cls: PlayerClass, w: WeightingVector) -> Fraction:
-    """Index value of one player of the class under the given weighting vector."""
-    if w.n != spec.total_players:
-        raise ValueError(
-            f"weighting vector sized for {w.n} players, spec has {spec.total_players}"
-        )
-    return evaluate(w, class_critical_vector(spec, cls))
-
-
 def ranking(spec: UsSpec, w: WeightingVector) -> tuple[tuple[PlayerClass, Fraction], ...]:
     """Classes with their index values, sorted from most to least powerful.
 
     Sorting is by exact value; classes with equal values appear adjacent, in
     declaration order, and report layers render them as ties.
     """
-    values = {cls: class_power(spec, cls, w) for cls in spec.classes()}
+    if w.n != spec.total_players:
+        raise ValueError(
+            f"weighting vector sized for {w.n} players, spec has {spec.total_players}"
+        )
+    values = {cls: evaluate(w, class_critical_vector(spec, cls)) for cls in spec.classes()}
     return tuple((cls, value) for _, cls, value in competition_ranks(values))
 
 

@@ -9,7 +9,6 @@ from legipower import (
     CountVector,
     PoolConstraint,
     binomial_row,
-    joint_quota_vector,
     sum_counts,
     template_counts,
 )
@@ -70,22 +69,21 @@ class TestJointQuotaCounts:
     def test_two_chambers(self):
         template = CoalitionTemplate(0, (PoolConstraint(3, 2, 3), PoolConstraint(4, 3, 4)))
         assert enumerate_template_counts(template)[5] == 12
-        assert joint_quota_vector([(3, 2), (4, 3)])[5] == 12
+        assert template_counts(template)[5] == 12
 
     def test_everyone_needed_at_the_top(self):
-        assert joint_quota_vector([(3, 2), (4, 3)])[7] == 1
+        template = CoalitionTemplate(0, (PoolConstraint(3, 2, 3), PoolConstraint(4, 3, 4)))
+        assert template_counts(template)[7] == 1
 
     def test_below_quota_is_zero(self):
-        assert joint_quota_vector([(3, 2)])[1] == 0
+        assert template_counts(CoalitionTemplate(0, (PoolConstraint(3, 2, 3),)))[1] == 0
 
     def test_empty_chamber_list(self):
-        assert joint_quota_vector(()) == {0: 1}
+        assert template_counts(CoalitionTemplate(0)) == {0: 1}
 
     def test_invalid_quota_rejected(self):
         with pytest.raises(ValueError):
-            joint_quota_vector([(3, 0)])[2]
-        with pytest.raises(ValueError):
-            joint_quota_vector([(3, 4)])[2]
+            PoolConstraint(3, 4, 3)
 
 
 class TestSumCounts:

@@ -375,6 +375,17 @@ class TestLattice:
         assert weak_desirability(senator, counted["representative"]) == senator_vs_rep
         assert weak_desirability(counted["president"], senator) == president_vs_senator
 
+    @pytest.mark.parametrize("sizes, quotas", [
+        ((100, 100, 1), (1, 1, 1)),
+        ((120, 110, 3), (20, 30, 2)),
+    ], ids=["100x100", "101x81"])
+    def test_member_vector_on_the_kronecker_path(self, sizes, quotas):
+        # The last chamber's member convolves two slices longer than
+        # KRONECKER_MIN_LEN: 100 x 100 and 101 x 81 entries.
+        spec = MulticamSpec(tuple(
+            ChamberSpec(f"c{i}", m, q) for i, (m, q) in enumerate(zip(sizes, quotas))))
+        _assert_lattice_matches_the_closed_forms(spec)
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_multicameral_specs_of_hundreds_of_seats(self, data):

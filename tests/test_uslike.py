@@ -9,8 +9,8 @@ from legipower import (
     banzhaf,
     binomial,
     class_critical_vector,
-    class_power,
     critical_templates,
+    evaluate,
     member_critical_vector,
     point_mass,
     ranking,
@@ -182,20 +182,18 @@ class TestVpRepSignTable:
 
 class TestClassPower:
     def test_zero_outside_support(self):
-        spec = UsSpec()
-        w = point_mass(537, 100)
-        for cls in spec.classes():
-            assert class_power(spec, cls, w) == 0
+        for _, value in ranking(UsSpec(), point_mass(537, 100)):
+            assert value == 0
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
-            class_power(UsSpec(), PlayerClass.SENATOR, banzhaf(536))
+            ranking(UsSpec(), banzhaf(536))
 
     def test_uniform_index_president_above_senator(self):
         spec = UsSpec()
         w = banzhaf(537)
-        assert class_power(spec, PlayerClass.PRESIDENT, w) > \
-            class_power(spec, PlayerClass.SENATOR, w)
+        assert evaluate(w, class_critical_vector(spec, PlayerClass.PRESIDENT)) > \
+            evaluate(w, class_critical_vector(spec, PlayerClass.SENATOR))
 
 
 class TestRanking:
