@@ -25,15 +25,11 @@ from .combinat import (
     binomial,
     binomial_row,
     certify_comparison,
-    count_ratio,
-    critical_product_greater,
-    growth_ratio,
 )
 from .counting import (
     CoalitionTemplate,
     CountVector,
     PoolConstraint,
-    sum_counts,
     template_counts,
 )
 from .semivalues import (
@@ -80,18 +76,14 @@ __all__ = [
     "class_critical_vector",
     "classify_bicameral",
     "compare_members",
-    "count_ratio",
-    "critical_product_greater",
     "critical_templates",
     "crossover_sizes",
     "evaluate",
-    "growth_ratio",
     "majority_quota",
     "member_critical_vector",
     "point_mass",
     "ranking",
     "shapley_shubik",
-    "sum_counts",
     "supermajority_scan",
     "template_counts",
     "weak_desirability",

@@ -14,7 +14,9 @@ import sys
 from . import __version__, lattice
 from .chambers import (
     CertificationMismatchError,
+    MulticamSpec,
     classify_bicameral,
+    compare_members,
     crossover_sizes,
     majority_quota,
 )
@@ -153,9 +155,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     class_b = resolve_class(spec, args.class_b)
     if class_a == class_b:
         raise SpecFileError("compare needs two distinct classes")
-    va = spec.critical_vector(class_a)
-    vb = spec.critical_vector(class_b)
-    relation = weak_desirability(va, vb)
+    if isinstance(spec, MulticamSpec):
+        relation = compare_members(spec, class_a, class_b)
+    else:
+        relation = weak_desirability(spec.critical_vector(class_a), spec.critical_vector(class_b))
 
     report = Report(_meta(args, "compare", spec))
     sec = report.section("comparison", "weak desirability", ("field", "value"))

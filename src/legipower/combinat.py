@@ -1,11 +1,14 @@
 """Exact combinatorics for comparing products of binomial coefficients.
 
-Member critical numbers in two-chamber voting games are products of two
-binomial coefficients.  Deciding which of two such products is larger can be
-done either by evaluating the (possibly enormous) binomials, or by certified
-small-integer tests on the chamber sizes and quotas alone.  Both routes live
-here so they can be tested against each other; the certificate route never
-touches a big binomial.
+In a two-chamber voting game with sizes (m_a, m_b) and quotas (q_a, q_b), a
+chamber-A member is critical in C(m_a-1, q_a-1) * C(m_b, k-q_a) coalitions
+of size k, and a chamber-B member in C(m_b-1, q_b-1) * C(m_a, k-q_b).
+Dividing both products by the two cores, A is ahead at overshoot
+i = k - q_a - q_b exactly when B's ratio C(m_b, q_b+i) / C(m_b-1, q_b-1)
+beats A's C(m_a, q_a+i) / C(m_a-1, q_a-1).  Each ratio starts at m/q and
+grows by the small-integer factor (m-q-i)/(q+i+1) per step, so comparing
+starting points and growth factors decides the comparison from sizes and
+quotas alone: ``certify_comparison`` never touches a big binomial.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 
 def binomial(n: int, k: int) -> int:
@@ -55,56 +57,9 @@ def binomial_row(n: int) -> list[int]:
     return row
 
 
-def _check_ratio_domain(size: int, quota: int, overshoot: int) -> None:
-    if not 0 < quota < size:
-        raise ValueError(f"need 0 < quota < size, got quota={quota}, size={size}")
-    if not 0 <= overshoot < size - quota:
-        raise ValueError(
-            f"need 0 <= overshoot < size - quota, got overshoot={overshoot}, "
-            f"size={size}, quota={quota}"
-        )
-
-
-def count_ratio(size: int, quota: int, overshoot: int) -> Fraction:
-    """C(size, quota + overshoot) / C(size - 1, quota - 1), exactly.
-
-    Ratio of the chamber's ways to supply ``quota + overshoot`` members to the
-    ways of completing a fixed member's quota core.  Comparing two chambers'
-    ratios at equal overshoot decides whose member has the larger critical
-    number.
-    """
-    _check_ratio_domain(size, quota, overshoot)
-    return Fraction(binomial(size, quota + overshoot), binomial(size - 1, quota - 1))
-
-
-def growth_ratio(size: int, quota: int, overshoot: int) -> Fraction:
-    """(size - quota - overshoot) / (quota + overshoot + 1), exactly.
-
-    The factor by which ``count_ratio`` grows when the overshoot increases by
-    one: count_ratio(s, q, i + 1) == growth_ratio(s, q, i) * count_ratio(s, q, i).
-    """
-    _check_ratio_domain(size, quota, overshoot)
-    return Fraction(size - quota - overshoot, quota + overshoot + 1)
-
-
 def _check_quota_interior(m: int, q: int, side: str) -> None:
     if not 1 < q < m:
         raise ValueError(f"need 1 < quota < size for chamber {side}, got quota={q}, size={m}")
-
-
-def critical_product_greater(m_a: int, q_a: int, m_b: int, q_b: int, k: int) -> bool:
-    """True iff a chamber-A member's critical count at size k beats chamber B's.
-
-    In the two-chamber game with sizes (m_a, m_b) and quotas (q_a, q_b), the
-    counts compared are C(m_a-1, q_a-1) * C(m_b, k-q_a) versus
-    C(m_b-1, q_b-1) * C(m_a, k-q_b).  Evaluated with exact integers; the
-    comparison is strict.
-    """
-    _check_quota_interior(m_a, q_a, "A")
-    _check_quota_interior(m_b, q_b, "B")
-    lhs = binomial(m_a - 1, q_a - 1) * binomial(m_b, k - q_a)
-    rhs = binomial(m_b - 1, q_b - 1) * binomial(m_a, k - q_b)
-    return lhs > rhs
 
 
 class CertOutcome(Enum):
@@ -132,11 +87,12 @@ _NOT_CERTIFIED = CertVerdict(CertOutcome.NOT_CERTIFIED, CertBasis.NONE)
 
 
 def certify_comparison(m_a: int, q_a: int, m_b: int, q_b: int) -> dict[int, CertVerdict]:
-    """Certified verdicts on ``critical_product_greater`` for every relevant size.
+    """Certified verdicts on whether A's product beats B's, for every relevant size.
 
-    Returns a map over all sizes k where at least one of the two products is
-    nonzero, i.e. q_a + q_b <= k <= max(q_a + m_b, q_b + m_a).  Verdicts come
-    only from exact small-integer conditions:
+    The products compared at size k are C(m_a-1, q_a-1) * C(m_b, k-q_a) and
+    C(m_b-1, q_b-1) * C(m_a, k-q_b).  Returns a map over all sizes k where at
+    least one of them is nonzero, i.e. q_a + q_b <= k <= max(q_a + m_b,
+    q_b + m_a).  Verdicts come only from exact small-integer conditions:
 
     * At the minimal size the comparison reduces to quota shares:
       greater iff q_a*m_b > q_b*m_a, equal iff the products match.

@@ -9,7 +9,7 @@ convolving the pools' binomial rows.
 from __future__ import annotations
 
 import decimal
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -29,7 +29,11 @@ _EXACT = decimal.Context(
 
 
 class CountVector:
-    """Exact per-coalition-size counts, stored sparsely with interval bounds."""
+    """Exact per-coalition-size counts, stored sparsely with interval bounds.
+
+    Built from a mapping or from (size, count) pairs; pairs at a repeated size
+    are summed, which is how disjoint coalition families are added up.
+    """
 
     __slots__ = ("_counts",)
 
@@ -60,9 +64,6 @@ class CountVector:
 
     def __hash__(self) -> int:
         return hash(frozenset(self._counts.items()))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.support())
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v}" for k, v in self.items())
@@ -163,11 +164,3 @@ def template_counts(template: CoalitionTemplate) -> CountVector:
         acc = _convolve(acc, binomial_row(pool.pool_size)[pool.min_pick:pool.max_pick + 1])
     return CountVector(enumerate(acc, offset))
 
-
-def sum_counts(vectors: Iterable[CountVector]) -> CountVector:
-    """Pointwise sum; callers guarantee the summed families are disjoint."""
-    acc: dict[int, int] = {}
-    for vec in vectors:
-        for k, v in vec.items():
-            acc[k] = acc.get(k, 0) + v
-    return CountVector(acc)

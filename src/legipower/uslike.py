@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable
 
-from .counting import CoalitionTemplate, CountVector, PoolConstraint, sum_counts, template_counts
+from .counting import CoalitionTemplate, CountVector, PoolConstraint, template_counts
 from .semivalues import Relation, WeightingVector, competition_ranks, evaluate, weak_desirability
 
 
@@ -174,7 +174,9 @@ def critical_templates(spec: UsSpec, cls: PlayerClass) -> tuple[CoalitionTemplat
 
 def class_critical_vector(spec: UsSpec, cls: PlayerClass) -> CountVector:
     """Exact critical numbers of one player of the given class, for every size."""
-    return sum_counts(template_counts(t) for t in critical_templates(spec, cls))
+    # The rows are disjoint families; the constructor sums their counts per size.
+    return CountVector(kv for t in critical_templates(spec, cls)
+                       for kv in template_counts(t).items())
 
 
 def ranking(spec: UsSpec, w: WeightingVector) -> tuple[tuple[PlayerClass, Fraction], ...]:

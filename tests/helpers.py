@@ -1,7 +1,7 @@
 """Independent oracles used to freeze expected values.
 
 Everything here deliberately avoids the library's code paths: binomials come
-from the Pascal recurrence, template counts from explicit subset enumeration,
+from the Pascal recurrence or ``math.comb``, template counts from explicit subset enumeration,
 and the passage rules below are evaluated one bitmask at a time, the way
 ``bitmask.rule_table`` defines a table, against which ``bitmask.from_spec``'s
 broadcast tables are checked.
@@ -9,6 +9,7 @@ broadcast tables are checked.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from legipower import CoalitionTemplate, MulticamSpec, UsSpec
@@ -40,6 +41,17 @@ def pascal_binomial(n: int, k: int) -> int:
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     return row[k]
+
+
+def product_sign(m_a: int, q_a: int, m_b: int, q_b: int, k: int) -> int:
+    """Sign of C(m_a-1, q_a-1) * C(m_b, k-q_a) - C(m_b-1, q_b-1) * C(m_a, k-q_b).
+
+    The two-chamber critical products at size k >= q_a + q_b, evaluated in
+    full (``math.comb`` is 0 past the top of a row).
+    """
+    lhs = math.comb(m_a - 1, q_a - 1) * math.comb(m_b, k - q_a)
+    rhs = math.comb(m_b - 1, q_b - 1) * math.comb(m_a, k - q_b)
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def plain_convolve(a: list[int], b: list[int]) -> list[int]:

@@ -22,10 +22,7 @@ from legipower import (
     certify_comparison,
     class_critical_vector,
     compare_members,
-    critical_product_greater,
-    count_ratio,
     crossover_sizes,
-    growth_ratio,
     majority_quota,
     member_critical_vector,
     ranking,
@@ -37,7 +34,7 @@ from legipower import (
 from legipower.combinat import CertOutcome
 from legipower.semivalues import size_signs
 from bitmask import critical_vector, from_spec
-from helpers import MINI_US_SPECS
+from helpers import MINI_US_SPECS, product_sign
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -287,12 +284,13 @@ def test_criterion_8c_mini_us_specs_match_enumeration():
 
 
 def test_criterion_9_ratio_identity_and_certificates():
-    # Growth identity over the full ratio grid.
+    # Growth identity over the full ratio grid: C(s, q+i) / C(s-1, q-1) grows
+    # by (s-q-i) / (q+i+1) from overshoot i to i+1.
     for size in range(2, 41):
         for quota in range(1, size):
             for overshoot in range(size - quota - 1):
-                assert count_ratio(size, quota, overshoot + 1) == \
-                    growth_ratio(size, quota, overshoot) * count_ratio(size, quota, overshoot)
+                j = quota + overshoot
+                assert binomial(size, j + 1) * (j + 1) == binomial(size, j) * (size - j)
 
     # Certificates never contradict direct evaluation, and the direct
     # comparison is single-crossing, over the majority-quota grid to size 40.
@@ -304,16 +302,14 @@ def test_criterion_9_ratio_identity_and_certificates():
                 continue
             verdicts = certify_comparison(m_small, q_small, m_large, q_large)
             for k, verdict in verdicts.items():
-                direct = critical_product_greater(m_small, q_small, m_large, q_large, k)
+                sign = product_sign(m_small, q_small, m_large, q_large, k)
                 if verdict.outcome is CertOutcome.CERTIFIED_GREATER:
-                    assert direct, (m_small, m_large, k)
+                    assert sign > 0, (m_small, m_large, k)
                 elif verdict.outcome is CertOutcome.CERTIFIED_EQUAL:
-                    assert not direct
-                    assert not critical_product_greater(
-                        m_large, q_large, m_small, q_small, k), (m_small, m_large, k)
+                    assert sign == 0, (m_small, m_large, k)
             k_both = min(q_small + m_large, q_large + m_small)
             flags = [
-                critical_product_greater(m_small, q_small, m_large, q_large, k)
+                product_sign(m_small, q_small, m_large, q_large, k) > 0
                 for k in range(q_small + q_large, k_both + 1)
             ]
             assert flags == sorted(flags), (m_small, m_large)

@@ -491,6 +491,25 @@ class TestFailureExits:
         assert err.startswith("error: internal: ")
         assert err.count("\n") == 1
 
+    def test_certificate_contradiction_in_compare_is_an_internal_error(
+            self, capsys, monkeypatch, write_spec):
+        from legipower import chambers
+        from legipower.combinat import CertBasis, CertOutcome, CertVerdict
+
+        def wrong(m_a, q_a, m_b, q_b):
+            equal = CertVerdict(CertOutcome.CERTIFIED_EQUAL, CertBasis.MIN_SIZE_RATIO)
+            return {k: equal for k in range(q_a + q_b, max(q_a + m_b, q_b + m_a) + 1)}
+
+        monkeypatch.setattr(chambers, "certify_comparison", wrong)
+        path = write_spec({"chambers": [
+            {"name": "small", "size": 101, "quota": 51},
+            {"name": "large", "size": 150, "quota": 76},
+        ]})
+        code, out, err = _run(capsys, "compare", path, "small", "large")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: internal: ")
+        assert err.count("\n") == 1
+
     def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
         from legipower import cli
 

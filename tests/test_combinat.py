@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -9,11 +8,8 @@ from legipower import (
     binomial,
     binomial_row,
     certify_comparison,
-    count_ratio,
-    critical_product_greater,
-    growth_ratio,
 )
-from helpers import pascal_binomial
+from helpers import pascal_binomial, product_sign
 
 
 class TestBinomial:
@@ -56,59 +52,6 @@ class TestBinomialRow:
             binomial_row(-1)
 
 
-class TestRatios:
-    def test_count_ratio_values(self):
-        assert count_ratio(5, 2, 0) == Fraction(5, 2)
-        assert count_ratio(5, 2, 1) == Fraction(10, 4)
-        assert count_ratio(6, 3, 1) == Fraction(3, 2)
-
-    def test_count_ratio_at_zero_overshoot_is_size_over_quota(self):
-        for size in range(2, 20):
-            for quota in range(1, size):
-                assert count_ratio(size, quota, 0) == Fraction(size, quota)
-
-    def test_growth_ratio_values(self):
-        assert growth_ratio(5, 2, 0) == 1
-        assert growth_ratio(5, 2, 1) == Fraction(1, 2)
-        assert growth_ratio(10, 4, 2) == Fraction(4, 7)
-
-    @pytest.mark.parametrize("size,quota,overshoot", [
-        (5, 0, 0), (5, 5, 0), (5, 2, -1), (5, 2, 3), (3, 3, 0),
-    ])
-    def test_domain_errors(self, size, quota, overshoot):
-        with pytest.raises(ValueError):
-            count_ratio(size, quota, overshoot)
-        with pytest.raises(ValueError):
-            growth_ratio(size, quota, overshoot)
-
-    def test_growth_identity_grid(self):
-        # count_ratio(s, q, i+1) == growth_ratio(s, q, i) * count_ratio(s, q, i)
-        for size in range(2, 41):
-            for quota in range(1, size):
-                for overshoot in range(size - quota - 1):
-                    assert count_ratio(size, quota, overshoot + 1) == \
-                        growth_ratio(size, quota, overshoot) * count_ratio(size, quota, overshoot)
-
-
-class TestDirectComparison:
-    def test_examples(self):
-        assert critical_product_greater(3, 2, 5, 3, 5) is True    # 20 > 18
-        assert critical_product_greater(3, 2, 4, 3, 5) is False   # 8 < 9
-        assert critical_product_greater(3, 2, 6, 4, 6) is False   # 30 == 30
-
-    def test_quota_preconditions(self):
-        with pytest.raises(ValueError):
-            critical_product_greater(3, 1, 5, 3, 5)
-        with pytest.raises(ValueError):
-            critical_product_greater(3, 2, 5, 5, 5)
-
-
-def _product_sign(m_a, q_a, m_b, q_b, k):
-    lhs = binomial(m_a - 1, q_a - 1) * binomial(m_b, k - q_a)
-    rhs = binomial(m_b - 1, q_b - 1) * binomial(m_a, k - q_b)
-    return (lhs > rhs) - (lhs < rhs)
-
-
 class TestCertification:
     def test_dominant_pair_certified_everywhere(self):
         verdicts = certify_comparison(3, 2, 5, 3)
@@ -127,6 +70,11 @@ class TestCertification:
         assert verdicts[7].basis is CertBasis.SINGLE_CROSSING
         assert verdicts[8].outcome is CertOutcome.CERTIFIED_GREATER
 
+    @pytest.mark.parametrize("m_a,q_a,m_b,q_b", [(3, 1, 5, 3), (3, 2, 5, 5)])
+    def test_quota_preconditions(self, m_a, q_a, m_b, q_b):
+        with pytest.raises(ValueError):
+            certify_comparison(m_a, q_a, m_b, q_b)
+
     def test_failed_minimum_not_certified(self):
         verdicts = certify_comparison(51, 26, 100, 51)
         assert verdicts[77].outcome is CertOutcome.NOT_CERTIFIED
@@ -138,7 +86,7 @@ class TestCertification:
         verdicts = certify_comparison(51, 26, 100, 51)
         for k, verdict in verdicts.items():
             if verdict.outcome is CertOutcome.CERTIFIED_GREATER:
-                assert _product_sign(51, 26, 100, 51, k) > 0, k
+                assert product_sign(51, 26, 100, 51, k) > 0, k
 
     def test_soundness_and_single_crossing_exhaustive(self):
         # Every certificate agrees with direct evaluation, and the direct
@@ -153,7 +101,7 @@ class TestCertification:
                         k_both = min(q_a + m_b, q_b + m_a)
                         k_hi = max(q_a + m_b, q_b + m_a)
                         assert sorted(verdicts) == list(range(k_lo, k_hi + 1))
-                        signs = {k: _product_sign(m_a, q_a, m_b, q_b, k)
+                        signs = {k: product_sign(m_a, q_a, m_b, q_b, k)
                                  for k in range(k_lo, k_hi + 1)}
                         for k, verdict in verdicts.items():
                             if verdict.outcome is CertOutcome.CERTIFIED_GREATER:

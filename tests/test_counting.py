@@ -9,7 +9,6 @@ from legipower import (
     CountVector,
     PoolConstraint,
     binomial_row,
-    sum_counts,
     template_counts,
 )
 from legipower.counting import KRONECKER_MIN_LEN, _convolve
@@ -41,6 +40,11 @@ class TestCountVector:
         vec = CountVector()
         assert not vec
         assert vec.k_min is None and vec.k_max is None
+
+    def test_pairs_at_one_size_are_summed(self):
+        assert CountVector([(5, 2), (5, 3), (6, 1)]) == {5: 5, 6: 1}
+        assert CountVector([(3, 1), (4, 1), (5, 1)]) == {3: 1, 4: 1, 5: 1}
+        assert CountVector([]) == CountVector()
 
 
 class TestPoolConstraint:
@@ -84,19 +88,6 @@ class TestJointQuotaCounts:
     def test_invalid_quota_rejected(self):
         with pytest.raises(ValueError):
             PoolConstraint(3, 4, 3)
-
-
-class TestSumCounts:
-    def test_pointwise(self):
-        total = sum_counts([CountVector({5: 2}), CountVector({5: 3, 6: 1})])
-        assert total == {5: 5, 6: 1}
-
-    def test_empty_list(self):
-        assert sum_counts([]) == CountVector()
-
-    def test_disjoint_supports(self):
-        vecs = [CountVector({3: 1}), CountVector({4: 1}), CountVector({5: 1})]
-        assert sum_counts(vecs) == {3: 1, 4: 1, 5: 1}
 
 
 _pools = st.lists(

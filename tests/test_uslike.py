@@ -18,7 +18,7 @@ from legipower import (
     supermajority_scan,
     weak_desirability,
 )
-from legipower.counting import sum_counts, template_counts
+from legipower.counting import CountVector, template_counts
 from legipower.semivalues import size_signs
 from bitmask import critical_vector, from_spec
 from helpers import MINI_US_SPECS
@@ -123,14 +123,14 @@ class TestOracleEquivalence:
             assert class_critical_vector(spec, cls) == expected, cls
 
     def test_rows_are_disjoint(self):
-        # Every class vector is a sum of per-row counts; matching the oracle
-        # en masse plus per-row nonnegativity implies no double counting, and
-        # the row sum being reproduced also holds per template here.
+        # Every class vector is the sum of its rows' counts; the summed rows
+        # match enumeration only if no coalition is counted in two rows.
         spec = UsSpec(4, 5, 3, 3, 4, 4, True, True)
+        game = from_spec(spec)
         for cls in spec.classes():
             rows = critical_templates(spec, cls)
-            combined = sum_counts(template_counts(t) for t in rows)
-            assert combined == class_critical_vector(spec, cls)
+            combined = CountVector(kv for t in rows for kv in template_counts(t).items())
+            assert combined == critical_vector(game, game.players(cls.value)[0]), cls
 
 
 class TestCriticalTemplates:
