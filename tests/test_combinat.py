@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -52,6 +53,39 @@ class TestBinomialRow:
             binomial_row(-1)
 
 
+def _count_ratio(size, quota, overshoot):
+    # Chamber's ways to supply quota + overshoot members, over the ways to
+    # complete one member's quota core: the ratio certify_comparison compares.
+    return Fraction(binomial(size, quota + overshoot), binomial(size - 1, quota - 1))
+
+
+class TestRatioFacts:
+    # The facts certify_comparison rests on: each chamber's ratio starts at
+    # size/quota and grows by (size-quota-i)/(quota+i+1) per unit of overshoot.
+    def test_count_ratio_values(self):
+        assert _count_ratio(5, 2, 0) == Fraction(5, 2)
+        assert _count_ratio(5, 2, 1) == Fraction(10, 4)
+        assert _count_ratio(6, 3, 1) == Fraction(3, 2)
+
+    def test_count_ratio_at_zero_overshoot_is_size_over_quota(self):
+        for size in range(2, 20):
+            for quota in range(1, size):
+                assert _count_ratio(size, quota, 0) == Fraction(size, quota)
+
+    def test_growth_factor_values(self):
+        assert _count_ratio(5, 2, 1) / _count_ratio(5, 2, 0) == 1
+        assert _count_ratio(5, 2, 2) / _count_ratio(5, 2, 1) == Fraction(1, 2)
+        assert _count_ratio(10, 4, 3) / _count_ratio(10, 4, 2) == Fraction(4, 7)
+
+    def test_growth_identity_grid(self):
+        for size in range(2, 41):
+            for quota in range(1, size):
+                for overshoot in range(size - quota - 1):
+                    assert _count_ratio(size, quota, overshoot + 1) == Fraction(
+                        size - quota - overshoot, quota + overshoot + 1
+                    ) * _count_ratio(size, quota, overshoot)
+
+
 class TestCertification:
     def test_dominant_pair_certified_everywhere(self):
         verdicts = certify_comparison(3, 2, 5, 3)
@@ -70,7 +104,19 @@ class TestCertification:
         assert verdicts[7].basis is CertBasis.SINGLE_CROSSING
         assert verdicts[8].outcome is CertOutcome.CERTIFIED_GREATER
 
-    @pytest.mark.parametrize("m_a,q_a,m_b,q_b", [(3, 1, 5, 3), (3, 2, 5, 5)])
+    def test_examples_against_direct_products(self):
+        # 20 > 18, 8 < 9 and 30 == 30: product_sign and the certificates agree.
+        assert product_sign(3, 2, 5, 3, 5) == 1
+        assert certify_comparison(3, 2, 5, 3)[5].outcome is CertOutcome.CERTIFIED_GREATER
+        assert product_sign(3, 2, 4, 3, 5) == -1
+        assert certify_comparison(4, 3, 3, 2)[5].outcome is CertOutcome.CERTIFIED_GREATER
+        assert product_sign(3, 2, 6, 4, 6) == 0
+        assert certify_comparison(3, 2, 6, 4)[6].outcome is CertOutcome.CERTIFIED_EQUAL
+
+    @pytest.mark.parametrize("m_a,q_a,m_b,q_b", [
+        (3, 1, 5, 3), (3, 2, 5, 5), (3, 0, 5, 3), (3, 3, 5, 3),
+        (3, 2, 5, 1), (3, 2, 5, 6),
+    ])
     def test_quota_preconditions(self, m_a, q_a, m_b, q_b):
         with pytest.raises(ValueError):
             certify_comparison(m_a, q_a, m_b, q_b)

@@ -43,7 +43,11 @@ class TestCountVector:
 
     def test_pairs_at_one_size_are_summed(self):
         assert CountVector([(5, 2), (5, 3), (6, 1)]) == {5: 5, 6: 1}
+
+    def test_pairs_at_distinct_sizes_are_kept(self):
         assert CountVector([(3, 1), (4, 1), (5, 1)]) == {3: 1, 4: 1, 5: 1}
+
+    def test_no_pairs_is_empty(self):
         assert CountVector([]) == CountVector()
 
 
