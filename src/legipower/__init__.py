@@ -46,7 +46,6 @@ from .uslike import (
     PlayerClass,
     UsSpec,
     class_critical_vector,
-    critical_templates,
     ranking,
     supermajority_scan,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "class_critical_vector",
     "classify_bicameral",
     "compare_members",
-    "critical_templates",
     "crossover_sizes",
     "evaluate",
     "majority_quota",

@@ -1,11 +1,8 @@
 """Closed-form member critical numbers for multicameral legislatures.
 
-A legislature passes a motion when every chamber meets its quota.  A member
-of a chamber of m seats with quota q is critical in C(m-1, q-1) * U(k-q)
-coalitions of size k, where U is the counts of one ``CoalitionTemplate``
-picking quota..size seats from each other chamber.  The core stays a scalar:
-as a pool of m-1 seats it would build the whole binomial row of m-1 (see
-``test_one_large_chamber_at_the_bound_runs_in_bounded_memory``).  Member
+A legislature passes a motion when every chamber meets its quota: counted in
+seats, the winning coalitions form one box, quota..size in every chamber, and
+``counting.box_critical_vector`` counts a member's critical coalitions.  Member
 comparisons are ``weak_desirability`` relations, cross-checked against the
 certificate route where it applies.
 """
@@ -15,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .combinat import CertOutcome, binomial, certify_comparison
-from .counting import CoalitionTemplate, CountVector, PoolConstraint, template_counts
+from .combinat import CertOutcome, certify_comparison
+from .counting import CountVector, box_critical_vector
 from .semivalues import Relation, size_signs, weak_desirability
 
 
@@ -91,16 +88,13 @@ class MulticamSpec:
 def member_critical_vector(spec: MulticamSpec, chamber: str) -> CountVector:
     """Exact critical numbers of one member of the named chamber.
 
-    At size k the member is critical in C(m-1, q-1) * U(k - q) coalitions,
-    where U is ``template_counts`` of one template: a pick of quota..size
-    seats from each other chamber, in chamber order (U(0) = 1 for a single
-    chamber).  The core stays a scalar, for the reason the module gives.
+    One box, quota..size seats in every chamber: at size k the member is
+    critical in C(m-1, q-1) * U(k - q) coalitions, where U counts the
+    quota-meeting picks from the other chambers (U(0) = 1 for one chamber).
     """
-    own = spec.chamber(chamber)
-    core = binomial(own.size - 1, own.quota - 1)
-    rest = template_counts(CoalitionTemplate(0, tuple(
-        PoolConstraint(c.size, c.quota, c.size) for c in spec.chambers if c.name != chamber)))
-    return CountVector({k + own.quota: core * v for k, v in rest.items()})
+    axis = spec.class_ids().index(spec.chamber(chamber).name)
+    return box_critical_vector([c.size for c in spec.chambers],
+                               [[(c.quota, c.size) for c in spec.chambers]], axis)
 
 
 class CertificationMismatchError(RuntimeError):

@@ -3,17 +3,19 @@
 A coalition family is described by a template: some members present in every
 coalition, plus independent picks from pairwise-disjoint pools, each pick
 constrained to a range.  Per-size counts are exact integers obtained by
-convolving the pools' binomial rows.
+convolving the pools' binomial rows.  ``box_critical_vector`` counts a
+player's critical coalitions, in a game whose winning seat counts form a union
+of boxes, as a signed sum of such families.
 """
 
 from __future__ import annotations
 
 import decimal
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .combinat import binomial_row
+from .combinat import binomial, binomial_row
 
 # Rows up to this many entries are convolved entry by entry; when both rows
 # are longer, one big multiplication of the packed rows is faster (measured
@@ -164,3 +166,46 @@ def template_counts(template: CoalitionTemplate) -> CountVector:
         acc = _convolve(acc, binomial_row(pool.pool_size)[pool.min_pick:pool.max_pick + 1])
     return CountVector(enumerate(acc, offset))
 
+
+def box_critical_vector(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int, int]]],
+                        axis: int) -> CountVector:
+    """Exact critical numbers of one player on ``axis`` when a coalition with
+    a_i seats on each axis i passes exactly when some box has lo_i <= a_i <= hi_i
+    on every axis.
+
+    Boxes are clipped to 0..seats.  The union must be monotone along ``axis``
+    (one more seat there never loses), so the player is critical exactly where
+    the union's indicator steps up along that axis.  By inclusion-exclusion the
+    indicator is a signed sum of the boxes' intersections, each a box; equal
+    intersections merge and zero signs drop.  Inside one box the step is +1 in
+    the slice a_axis = lo and -1 in the slice a_axis = hi + 1; a slice at a
+    seats, empty unless 1 <= a <= m, counts C(m-1, a-1) times
+    ``template_counts`` of the other axes' ranges.  That core stays a scalar:
+    as a pool of m-1 seats it would build the whole binomial row of m-1 (see
+    ``test_one_large_chamber_at_the_bound_runs_in_bounded_memory``).
+    """
+    signs: dict[tuple[tuple[int, int], ...], int] = {}
+    for box in boxes:
+        box = tuple((max(lo, 0), min(hi, m)) for (lo, hi), m in zip(box, seats))
+        if any(lo > hi for lo, hi in box):
+            continue
+        for other, sign in list(signs.items()):
+            meet = tuple((max(a, c), min(b, d)) for (a, b), (c, d) in zip(box, other))
+            if all(lo <= hi for lo, hi in meet):
+                signs[meet] = signs.get(meet, 0) - sign
+        signs[box] = signs.get(box, 0) + 1
+        signs = {b: s for b, s in signs.items() if s}
+    m, counts = seats[axis], {}
+    for box, sign in signs.items():
+        lo, hi = box[axis]
+        slices = [(a, s * binomial(m - 1, a - 1)) for a, s in ((lo, sign), (hi + 1, -sign))
+                  if 0 < a <= m]
+        if not slices:
+            continue
+        rest = template_counts(CoalitionTemplate(0, tuple(
+            PoolConstraint(n, *box[i]) for i, n in enumerate(seats) if i != axis)))
+        for a, core in slices:
+            for k, v in rest.items():
+                counts[k + a] = counts.get(k + a, 0) + core * v
+    # Summed first: single products may be negative, their sums are not.
+    return CountVector(counts)

@@ -3,11 +3,11 @@
 A bill passes either on the signature track (president present, house quota
 met, and the senate quota met outright or via the vice president breaking an
 exact tie) or on the override track (both override quotas met, president not
-needed).  For each membership pattern of the president and vice president
-the winning (senate count, house count) cells form a staircase, given by the
-fewest house seats that pass with each senate count.  A class's critical
-family is read off two such staircases, with and without one of its players,
-and counted exactly through coalition templates.
+needed).  Counted in seats on the axes (president, vice president, senate,
+house), the winning coalitions are a union of boxes: the override box, the
+signature box, and, when the tie break is active, the vice president's tie
+row at exactly one seat short of the senate quota.  Every class's critical
+numbers come from ``counting.box_critical_vector`` on those boxes.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import groupby
 from typing import Iterable
 
-from .counting import CoalitionTemplate, CountVector, PoolConstraint, template_counts
+from .counting import CountVector, box_critical_vector
 from .semivalues import Relation, WeightingVector, competition_ranks, evaluate, weak_desirability
 
 
@@ -113,70 +112,18 @@ class UsSpec:
         }
 
 
-# What one player of each class adds to a coalition: (president flag, VP flag,
-# senate seats, house seats).
-_FOCAL = {
-    PlayerClass.PRESIDENT: (1, 0, 0, 0),
-    PlayerClass.VICE_PRESIDENT: (0, 1, 0, 0),
-    PlayerClass.SENATOR: (0, 0, 1, 0),
-    PlayerClass.REPRESENTATIVE: (0, 0, 0, 1),
-}
-
-
-def _r_min(spec: UsSpec, p: int, v: int, s: int) -> int:
-    """The fewest house seats that pass with s senate seats and the given
-    president and VP flags; ``house_size + 1`` when none do."""
-    fewest = spec.house_size + 1
-    if s >= spec.senate_override:
-        fewest = spec.house_override
-    tie_break = v and spec.tie_break_active and s == spec.senate_quota - 1
-    if p and (s >= spec.senate_quota or tie_break):
-        fewest = min(fewest, spec.house_quota)
-    return fewest
-
-
-def critical_templates(spec: UsSpec, cls: PlayerClass) -> tuple[CoalitionTemplate, ...]:
-    """Disjoint coalition-template rows whose union is the class's critical family.
-
-    With the president and VP flags p and v fixed, the winning (senate count,
-    house count) cells form a staircase: s senate seats pass with r house
-    seats exactly when r >= ``_r_min(spec, p, v, s)``.  A player is critical
-    where the coalition wins with it and loses without it, so a player that
-    adds (dp, dv, ds, dr) to a coalition is critical, at senate count s, for
-    the house counts r with
-
-        max(r_min(p, v, s), dr) <= r <= min(r_min(p-dp, v-dv, s-ds) + dr - 1, house_size).
-
-    Runs of senate counts with the same house interval become one template,
-    whose pools leave out the player's own seat.
-    """
-    if cls not in spec.classes():
-        raise ValueError(f"spec has no {cls.value.replace('_', ' ')}")
-    dp, dv, ds, dr = _FOCAL[cls]
-    m_s, m_r = spec.senate_size, spec.house_size
-    rows: list[CoalitionTemplate] = []
-    for p in range(dp, spec.has_president + 1):
-        for v in range(dv, spec.has_vp + 1):
-            def house_interval(s: int) -> tuple[int, int]:
-                return (max(_r_min(spec, p, v, s), dr),
-                        min(_r_min(spec, p - dp, v - dv, s - ds) + dr - 1, m_r))
-
-            for (r_lo, r_hi), run in groupby(range(ds, m_s + 1), key=house_interval):
-                if r_lo > r_hi:
-                    continue
-                senate = list(run)
-                rows.append(CoalitionTemplate(p + v + ds + dr, (
-                    PoolConstraint(m_s - ds, senate[0] - ds, senate[-1] - ds),
-                    PoolConstraint(m_r - dr, r_lo - dr, r_hi - dr),
-                )))
-    return tuple(rows)
-
-
 def class_critical_vector(spec: UsSpec, cls: PlayerClass) -> CountVector:
     """Exact critical numbers of one player of the given class, for every size."""
-    # The rows are disjoint families; the constructor sums their counts per size.
-    return CountVector(kv for t in critical_templates(spec, cls)
-                       for kv in template_counts(t).items())
+    if cls not in spec.classes():
+        raise ValueError(f"spec has no {cls.value.replace('_', ' ')}")
+    m_s, m_r, q_s, q_r = spec.senate_size, spec.house_size, spec.senate_quota, spec.house_quota
+    # Axes in PlayerClass order; an absent president or VP is an axis of no seats.
+    boxes = [((0, 1), (0, 1), (spec.senate_override, m_s), (spec.house_override, m_r)),
+             ((1, 1), (0, 1), (q_s, m_s), (q_r, m_r))]
+    if spec.tie_break_active:
+        boxes.append(((1, 1), (1, 1), (q_s - 1, q_s - 1), (q_r, m_r)))
+    return box_critical_vector((int(spec.has_president), int(spec.has_vp), m_s, m_r), boxes,
+                               list(PlayerClass).index(cls))
 
 
 def ranking(spec: UsSpec, w: WeightingVector) -> tuple[tuple[PlayerClass, Fraction], ...]:

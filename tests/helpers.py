@@ -83,6 +83,24 @@ def enumerate_template_counts(template: CoalitionTemplate) -> dict[int, int]:
     return counts
 
 
+def box_union_critical_counts(seats: list[int], boxes, axis: int) -> dict[int, int]:
+    """Per-size counts of the coalitions that pass and fail without player 0
+    of ``axis``, where a coalition passes when its seats on every axis lie in
+    one box's [lo, hi]; every subset of a labelled universe is checked."""
+    offsets = [sum(seats[:i]) for i in range(len(seats))]
+
+    def wins(mask: int) -> bool:
+        counts = [((mask >> o) & ((1 << m) - 1)).bit_count() for o, m in zip(offsets, seats)]
+        return any(all(lo <= a <= hi for a, (lo, hi) in zip(counts, box)) for box in boxes)
+
+    player = 1 << offsets[axis]
+    critical: dict[int, int] = {}
+    for mask in range(1 << sum(seats)):
+        if mask & player and wins(mask) and not wins(mask ^ player):
+            critical[mask.bit_count()] = critical.get(mask.bit_count(), 0) + 1
+    return critical
+
+
 def multicam_rule(spec: MulticamSpec) -> tuple[list[str], Callable[[int], bool]]:
     """Labels and per-bitmask passage rule of a multicameral spec; the first
     chamber takes the lowest bits."""

@@ -7,6 +7,7 @@ from legipower import (
     Dominance,
     MulticamSpec,
     Relation,
+    certify_comparison,
     classify_bicameral,
     compare_members,
     crossover_sizes,
@@ -17,6 +18,7 @@ from legipower import chambers
 from legipower.combinat import CertBasis, CertOutcome, CertVerdict
 from legipower.semivalues import size_signs
 from bitmask import critical_vector, from_spec
+from helpers import product_sign
 
 
 def _bicam(m_a, q_a, m_b, q_b):
@@ -204,6 +206,56 @@ class TestClassifyBicameral:
             classify_bicameral(5, 5)
         with pytest.raises(ValueError):
             classify_bicameral(6, 5)
+
+
+class TestBicameralSplit:
+    @pytest.mark.parametrize("case", list(CaseClass), ids=lambda c: c.value)
+    def test_certificates_decide_the_paper_split(self, case):
+        """The paper's bicameral result, from the certificate conditions alone.
+
+        With majority quotas a chamber of 2a+1 seats has q = a+1 and m-q = a,
+        and one of 2a seats has q = a+1 and m-q = a-1.  The minimal-size test
+        is q_s*m_l > q_l*m_s and the growth test (m_l-q_l)(q_s+1) >
+        (m_s-q_s)(q_l+1), smaller house s, larger house l:
+
+        * both odd (2a+1 < 2b+1): (a+1)(2b+1) > (b+1)(2a+1) and
+          b(a+2) > a(b+2) both reduce to b > a;
+        * both even (2a < 2b): (a+1)2b > (b+1)2a reduces to b > a, and
+          (b-1)(a+2) > (a-1)(b+2) to 3b > 3a;
+        * small even, large odd (2a < 2b+1, so a <= b): (a+1)(2b+1) > (b+1)2a
+          reduces to 2b+1 > a, and b(a+2) > (a-1)(b+2) to 3b+2 > 2a;
+        * small odd, large even (2a+1 < 2b): (a+1)2b > (b+1)(2a+1) reduces
+          to b > 2a+1, that is m_l > 2*m_s.  Wide: the growth test
+          (b-1)(a+2) > a(b+2) reduces to 2b > 3a+2, which b >= 2a+2 gives.
+          Double (b = 2a+1): the minimal sizes tie, and the second-size test
+          reduces to 2(a+2) > 2a+3.  Adjacent and between (m_l < 2*m_s): the
+          larger house's member leads at the minimal size.
+
+        So outside the exceptional case the smaller house's member is ahead
+        at every size, hence under every semivalue; in the double case it ties
+        at the first size and is ahead at every other.
+        """
+        pairs = [(m_s, m_l) for m_s in range(3, 151) for m_l in range(m_s + 1, 151)
+                 if classify_bicameral(m_s, m_l) is case]
+        assert pairs
+        for m_s, m_l in pairs:
+            q_s, q_l = majority_quota(m_s), majority_quota(m_l)
+            verdicts = certify_comparison(m_s, q_s, m_l, q_l)
+            first = verdicts.pop(q_s + q_l)
+            if case in (CaseClass.SMALL_ODD_LARGE_EVEN_ADJACENT,
+                        CaseClass.SMALL_ODD_LARGE_EVEN_BETWEEN):
+                assert first.outcome is CertOutcome.NOT_CERTIFIED, (m_s, m_l)
+                assert product_sign(m_s, q_s, m_l, q_l, q_s + q_l) < 0, (m_s, m_l)
+            elif case is CaseClass.SMALL_ODD_LARGE_EVEN_DOUBLE:
+                assert first == CertVerdict(CertOutcome.CERTIFIED_EQUAL,
+                                            CertBasis.MIN_SIZE_RATIO), (m_s, m_l)
+                assert all(v.outcome is CertOutcome.CERTIFIED_GREATER
+                           for v in verdicts.values()), (m_s, m_l)
+            else:
+                assert first == CertVerdict(CertOutcome.CERTIFIED_GREATER,
+                                            CertBasis.MIN_SIZE_RATIO), (m_s, m_l)
+                assert set(verdicts.values()) <= {CertVerdict(CertOutcome.CERTIFIED_GREATER,
+                                                              CertBasis.SEED_PAIR)}, (m_s, m_l)
 
 
 class TestCrossoverSizes:

@@ -8,11 +8,12 @@ from legipower import (
     CoalitionTemplate,
     CountVector,
     PoolConstraint,
+    binomial,
     binomial_row,
     template_counts,
 )
-from legipower.counting import KRONECKER_MIN_LEN, _convolve
-from helpers import enumerate_template_counts, plain_convolve
+from legipower.counting import KRONECKER_MIN_LEN, _convolve, box_critical_vector
+from helpers import box_union_critical_counts, enumerate_template_counts, plain_convolve
 
 
 class TestCountVector:
@@ -73,7 +74,7 @@ class TestTemplateCounts:
         assert template_counts(template) == {2: 1, 3: 3, 4: 3, 5: 1}
 
 
-class TestJointQuotaCounts:
+class TestQuotaTemplates:
     def test_two_chambers(self):
         template = CoalitionTemplate(0, (PoolConstraint(3, 2, 3), PoolConstraint(4, 3, 4)))
         assert enumerate_template_counts(template)[5] == 12
@@ -189,3 +190,106 @@ class TestConvolve:
         if hasattr(sys, "get_int_max_str_digits"):
             with pytest.raises(ValueError):
                 str(max(out))
+
+
+class TestBoxCriticalVector:
+    def test_one_orthant_is_the_quota_formula(self):
+        seats, box = [3, 4], ((2, 3), (3, 4))
+        expected = {2 + a: binomial(2, 1) * binomial(4, a) for a in (3, 4)}
+        assert box_union_critical_counts(seats, [box], 0) == expected
+        assert box_critical_vector(seats, [box], 0) == expected
+
+    def test_ranges_past_the_seats_are_clipped(self):
+        seats = [3, 4]
+        clipped = box_critical_vector(seats, [((2, 3), (0, 4))], 1)
+        assert box_critical_vector(seats, [((2, 9), (-1, 9))], 1) == clipped
+        assert clipped == box_union_critical_counts(seats, [((2, 3), (0, 4))], 1)
+
+    def test_identical_boxes_count_once(self):
+        seats, box = [3, 4, 2], ((1, 3), (1, 3), (0, 1))
+        vec = box_critical_vector(seats, [box, box], 0)
+        assert vec == box_critical_vector(seats, [box], 0)
+        assert vec == box_union_critical_counts(seats, [box], 0)
+
+    def test_disjoint_boxes_add(self):
+        seats, low, high = [3, 5], ((2, 3), (0, 1)), ((2, 3), (3, 5))
+        union = box_critical_vector(seats, [low, high], 0)
+        parts = [box_critical_vector(seats, [b], 0).to_dict() for b in (low, high)]
+        assert union == {k: parts[0].get(k, 0) + parts[1].get(k, 0) for k in range(9)}
+        assert union == box_union_critical_counts(seats, [low, high], 0)
+
+    def test_upper_bound_on_the_own_axis(self):
+        # A row at 2 own seats that the main box continues from 3 up, as the
+        # vice president's tie row continues into the signature box.
+        seats, boxes = [4, 3], [((2, 2), (2, 3)), ((3, 4), (1, 3))]
+        vec = box_critical_vector(seats, boxes, 0)
+        assert vec == box_union_critical_counts(seats, boxes, 0)
+        assert vec != box_critical_vector(seats, boxes[1:], 0)
+
+    def test_box_empty_after_clipping_counts_nothing(self):
+        seats, orthant, empty = [3, 4], ((2, 3), (3, 4)), ((2, 3), (5, 9))
+        assert not box_critical_vector(seats, [empty], 0)
+        assert box_critical_vector(seats, [empty, orthant], 0) == \
+            box_critical_vector(seats, [orthant], 0)
+
+    def test_own_axis_from_zero_is_a_null_player(self):
+        # Every coalition in the box passes without the player as well.
+        seats, box = [3, 4], ((0, 3), (2, 4))
+        assert not box_union_critical_counts(seats, [box], 0)
+        assert not box_critical_vector(seats, [box], 0)
+
+
+def _span(draw, m, clipped=False):
+    """A random [lo, hi]: inside 0..m when ``clipped``, else possibly empty or
+    reaching past 0..m."""
+    lo = draw(st.integers(0, m) if clipped else st.integers(-1, m + 1))
+    return lo, draw(st.integers(lo, m) if clipped else st.integers(lo - 1, m + 1))
+
+
+_seats = st.lists(st.integers(1, 4), min_size=2, max_size=4).filter(lambda s: sum(s) <= 10)
+
+
+@st.composite
+def _open_unions(draw):
+    """1 to 3 boxes with no upper bound on the player's axis: monotone there."""
+    seats = draw(_seats)
+    axis = draw(st.integers(0, len(seats) - 1))
+    boxes = [tuple((draw(st.integers(0, m + 1)), m) if i == axis else _span(draw, m)
+                   for i, m in enumerate(seats))
+             for _ in range(draw(st.integers(1, 3)))]
+    return seats, boxes, axis
+
+
+@st.composite
+def _capped_chains(draw):
+    """1 to 3 boxes whose own-axis ranges start in order, each reaching at
+    least to one seat below the next one's start and the last to the top,
+    while their other ranges widen: the union is monotone on the player's axis
+    though every box but the last may stop below its top."""
+    seats = draw(_seats)
+    axis, n = draw(st.integers(0, len(seats) - 1)), draw(st.integers(1, 3))
+    m = seats[axis]
+    starts = sorted(draw(st.lists(st.integers(0, m), min_size=n, max_size=n)))
+    tops = [draw(st.integers(nxt - 1, m)) for nxt in starts[1:]] + [m]
+    others, boxes = [_span(draw, s, clipped=True) for s in seats], []
+    for lo, hi in zip(starts, tops):
+        boxes.append(tuple((lo, hi) if i == axis else r for i, r in enumerate(others)))
+        others = [(min(a, c), max(b, d)) for (a, b), (c, d) in
+                  zip(others, [_span(draw, s, clipped=True) for s in seats])]
+    return seats, draw(st.permutations(boxes)), axis
+
+
+class TestBoxUnionProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_open_unions())
+    def test_open_unions_match_every_coalition(self, case):
+        seats, boxes, axis = case
+        assert box_critical_vector(seats, boxes, axis) == \
+            box_union_critical_counts(seats, boxes, axis)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_capped_chains())
+    def test_capped_chains_match_every_coalition(self, case):
+        seats, boxes, axis = case
+        assert box_critical_vector(seats, boxes, axis) == \
+            box_union_critical_counts(seats, boxes, axis)

@@ -9,7 +9,6 @@ from legipower import (
     banzhaf,
     binomial,
     class_critical_vector,
-    critical_templates,
     evaluate,
     member_critical_vector,
     point_mass,
@@ -18,7 +17,6 @@ from legipower import (
     supermajority_scan,
     weak_desirability,
 )
-from legipower.counting import CountVector, template_counts
 from legipower.semivalues import size_signs
 from bitmask import critical_vector, from_spec
 from helpers import MINI_US_SPECS
@@ -122,36 +120,8 @@ class TestOracleEquivalence:
             expected = critical_vector(game, players[0])
             assert class_critical_vector(spec, cls) == expected, cls
 
-    def test_rows_are_disjoint(self):
-        # Every class vector is the sum of its rows' counts; the summed rows
-        # match enumeration only if no coalition is counted in two rows.
-        spec = UsSpec(4, 5, 3, 3, 4, 4, True, True)
-        game = from_spec(spec)
-        for cls in spec.classes():
-            rows = critical_templates(spec, cls)
-            combined = CountVector(kv for t in rows for kv in template_counts(t).items())
-            assert combined == critical_vector(game, game.players(cls.value)[0]), cls
 
-
-class TestCriticalTemplates:
-    def test_default_template_counts(self):
-        spec = UsSpec()
-        counts = {cls: len(critical_templates(spec, cls)) for cls in spec.classes()}
-        assert counts == {
-            PlayerClass.PRESIDENT: 4,
-            PlayerClass.VICE_PRESIDENT: 1,
-            PlayerClass.SENATOR: 4,
-            PlayerClass.REPRESENTATIVE: 4,
-        }
-
-    @pytest.mark.parametrize("spec", [UsSpec(), *MINI_US_SPECS], ids=str)
-    def test_no_template_is_empty(self, spec):
-        for cls in spec.classes():
-            for template in critical_templates(spec, cls):
-                assert template_counts(template), (cls, template)
-
-
-class TestVpRepSignTable:
+class TestVpAgainstRepresentative:
     def test_default_runs(self, default_vectors):
         signs = size_signs(default_vectors[PlayerClass.VICE_PRESIDENT],
                            default_vectors[PlayerClass.REPRESENTATIVE])
