@@ -26,12 +26,7 @@ from .combinat import (
     binomial_row,
     certify_comparison,
 )
-from .counting import (
-    CoalitionTemplate,
-    CountVector,
-    PoolConstraint,
-    template_counts,
-)
+from .counting import CountVector
 from .semivalues import (
     Dominance,
     Relation,
@@ -59,12 +54,10 @@ __all__ = [
     "CertVerdict",
     "CertificationMismatchError",
     "ChamberSpec",
-    "CoalitionTemplate",
     "CountVector",
     "Dominance",
     "MulticamSpec",
     "PlayerClass",
-    "PoolConstraint",
     "Relation",
     "UsSpec",
     "WeightingVector",
@@ -83,6 +76,5 @@ __all__ = [
     "ranking",
     "shapley_shubik",
     "supermajority_scan",
-    "template_counts",
     "weak_desirability",
 ]

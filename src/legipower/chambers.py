@@ -62,13 +62,18 @@ class MulticamSpec:
         if len(set(names)) != len(names):
             raise ValueError(f"chamber names must be unique, got {names}")
 
+    def axes(self) -> tuple[tuple[str, int], ...]:
+        """(class id, seats) per seat-count axis, in bit order: one per
+        chamber, named after it, in chamber order."""
+        return tuple((c.name, c.size) for c in self.chambers)
+
     @property
     def total_players(self) -> int:
-        return sum(c.size for c in self.chambers)
+        return sum(seats for _, seats in self.axes())
 
     def class_ids(self) -> tuple[str, ...]:
         """One player class per chamber, named after it, in chamber order."""
-        return tuple(c.name for c in self.chambers)
+        return tuple(name for name, _ in self.axes())
 
     def critical_vector(self, class_id: str) -> CountVector:
         return member_critical_vector(self, class_id)
@@ -92,9 +97,9 @@ def member_critical_vector(spec: MulticamSpec, chamber: str) -> CountVector:
     critical in C(m-1, q-1) * U(k - q) coalitions, where U counts the
     quota-meeting picks from the other chambers (U(0) = 1 for one chamber).
     """
-    axis = spec.class_ids().index(spec.chamber(chamber).name)
-    return box_critical_vector([c.size for c in spec.chambers],
-                               [[(c.quota, c.size) for c in spec.chambers]], axis)
+    names, seats = zip(*spec.axes())
+    return box_critical_vector(seats, [[(c.quota, c.size) for c in spec.chambers]],
+                               names.index(spec.chamber(chamber).name))
 
 
 class CertificationMismatchError(RuntimeError):

@@ -21,8 +21,7 @@ from enum import Enum
 def binomial(n: int, k: int) -> int:
     """Number of k-subsets of an n-set; 0 when k is outside [0, n].
 
-    The out-of-range convention lets coalition-template sums skip boundary
-    special cases.
+    The out-of-range convention lets counting sums skip boundary special cases.
 
     >>> binomial(4, 2)
     6

@@ -1,18 +1,17 @@
-"""Counting families of coalitions built from fixed members plus pool picks.
+"""Exact critical numbers in games whose winning seat counts form a union of boxes.
 
-A coalition family is described by a template: some members present in every
-coalition, plus independent picks from pairwise-disjoint pools, each pick
-constrained to a range.  Per-size counts are exact integers obtained by
-convolving the pools' binomial rows.  ``box_critical_vector`` counts a
-player's critical coalitions, in a game whose winning seat counts form a union
-of boxes, as a signed sum of such families.
+Members of one axis (a chamber, or a one-seat executive) are interchangeable,
+so a coalition is counted by its seats on each axis.  ``box_critical_vector``
+counts a player's critical coalitions, per coalition size, as a signed sum
+over the boxes' intersections.  Each term is one binomial on the player's own
+axis times the convolution of the other axes' binomial rows, each cut to the
+term's range on its axis, so every count is an exact integer.
 """
 
 from __future__ import annotations
 
 import decimal
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from decimal import Decimal
 
 from .combinat import binomial, binomial_row
@@ -31,25 +30,19 @@ _EXACT = decimal.Context(
 
 
 class CountVector:
-    """Exact per-coalition-size counts, stored sparsely with interval bounds.
-
-    Built from a mapping or from (size, count) pairs; pairs at a repeated size
-    are summed, which is how disjoint coalition families are added up.
-    """
+    """Exact per-coalition-size counts, stored sparsely with interval bounds."""
 
     __slots__ = ("_counts",)
 
-    def __init__(self, counts: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = counts.items() if isinstance(counts, Mapping) else counts
-        store: dict[int, int] = {}
-        for k, v in items:
+    def __init__(self, counts: Mapping[int, int] | None = None):
+        self._counts: dict[int, int] = {}
+        for k, v in (counts or {}).items():
             if k < 0:
                 raise ValueError(f"coalition size must be >= 0, got {k}")
             if v < 0:
                 raise ValueError(f"count at size {k} must be >= 0, got {v}")
             if v:
-                store[k] = store.get(k, 0) + v
-        self._counts = store
+                self._counts[k] = v
 
     def __getitem__(self, k: int) -> int:
         return self._counts.get(k, 0)
@@ -85,41 +78,6 @@ class CountVector:
     def k_max(self) -> int | None:
         return max(self._counts) if self._counts else None
 
-    def total(self) -> int:
-        return sum(self._counts.values())
-
-    def to_dict(self) -> dict[int, int]:
-        return dict(self._counts)
-
-
-@dataclass(frozen=True)
-class PoolConstraint:
-    """Pick between min_pick and max_pick members from a pool of pool_size."""
-
-    pool_size: int
-    min_pick: int
-    max_pick: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.min_pick <= self.max_pick <= self.pool_size:
-            raise ValueError(
-                f"need 0 <= min_pick <= max_pick <= pool_size, got "
-                f"({self.pool_size}, {self.min_pick}, {self.max_pick})"
-            )
-
-
-@dataclass(frozen=True)
-class CoalitionTemplate:
-    """Fixed members plus constrained picks from disjoint pools."""
-
-    fixed_count: int
-    pools: tuple[PoolConstraint, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.fixed_count < 0:
-            raise ValueError(f"fixed_count must be >= 0, got {self.fixed_count}")
-        object.__setattr__(self, "pools", tuple(self.pools))
-
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
     """Exact convolution of two non-empty rows of non-negative integers."""
@@ -153,20 +111,6 @@ def _kronecker_convolve(a: list[int], b: list[int]) -> list[int]:
     return [int(Decimal(digits[i:i + w])) for i in range(0, n_out * w, w)]
 
 
-def template_counts(template: CoalitionTemplate) -> CountVector:
-    """Per-size counts of the template's coalition family.
-
-    The count at size k is the number of ways to pick a_p members from each
-    pool p within its range with fixed_count + sum(a_p) == k: the convolution
-    of the pools' binomial rows, shifted by the fixed members.
-    """
-    offset, acc = template.fixed_count, [1]
-    for pool in template.pools:
-        offset += pool.min_pick
-        acc = _convolve(acc, binomial_row(pool.pool_size)[pool.min_pick:pool.max_pick + 1])
-    return CountVector(enumerate(acc, offset))
-
-
 def box_critical_vector(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int, int]]],
                         axis: int) -> CountVector:
     """Exact critical numbers of one player on ``axis`` when a coalition with
@@ -179,10 +123,10 @@ def box_critical_vector(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int
     indicator is a signed sum of the boxes' intersections, each a box; equal
     intersections merge and zero signs drop.  Inside one box the step is +1 in
     the slice a_axis = lo and -1 in the slice a_axis = hi + 1; a slice at a
-    seats, empty unless 1 <= a <= m, counts C(m-1, a-1) times
-    ``template_counts`` of the other axes' ranges.  That core stays a scalar:
-    as a pool of m-1 seats it would build the whole binomial row of m-1 (see
-    ``test_one_large_chamber_at_the_bound_runs_in_bounded_memory``).
+    seats, empty unless 1 <= a <= m, counts C(m-1, a-1) times the convolution
+    of the other axes' binomial rows, each cut to the box's range on its axis.
+    That core stays a scalar: as a slice of the row of m-1 it would build the
+    whole row (see ``test_one_large_chamber_at_the_bound_runs_in_bounded_memory``).
     """
     signs: dict[tuple[tuple[int, int], ...], int] = {}
     for box in boxes:
@@ -202,10 +146,13 @@ def box_critical_vector(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int
                   if 0 < a <= m]
         if not slices:
             continue
-        rest = template_counts(CoalitionTemplate(0, tuple(
-            PoolConstraint(n, *box[i]) for i, n in enumerate(seats) if i != axis)))
+        offset, rest = 0, [1]
+        for i, (lo_i, hi_i) in enumerate(box):
+            if i != axis:
+                offset += lo_i
+                rest = _convolve(rest, binomial_row(seats[i])[lo_i:hi_i + 1])
         for a, core in slices:
-            for k, v in rest.items():
-                counts[k + a] = counts.get(k + a, 0) + core * v
+            for k, v in enumerate(rest, offset + a):
+                counts[k] = counts.get(k, 0) + core * v
     # Summed first: single products may be negative, their sums are not.
     return CountVector(counts)

@@ -27,7 +27,7 @@ from typing import Callable
 
 from .chambers import MulticamSpec
 from .counting import CountVector
-from .uslike import PlayerClass, UsSpec
+from .uslike import UsSpec
 
 
 class RuleAxiomError(RuntimeError):
@@ -62,21 +62,17 @@ def us_wins(spec: UsSpec, p, v, s, r):
     return override | signature
 
 
-def axes(spec: MulticamSpec | UsSpec) -> tuple[list[tuple[str, int]], Callable[..., object]]:
-    """(class id, seats) per lattice axis, and the passage rule on a cell.
+def axes(spec: MulticamSpec | UsSpec) -> tuple[tuple[tuple[str, int], ...], Callable[..., object]]:
+    """The spec's own ``axes()``, (class id, seats) per lattice axis, and the
+    passage rule on a cell.
 
     The axis order is also the bit order of the test suite's bitmask table,
     lowest bits first: axis j's seats take the bits just above axis j - 1's.
     """
     if isinstance(spec, MulticamSpec):
-        return ([(c.name, c.size) for c in spec.chambers],
-                lambda *cell: multicam_wins(spec, cell))
+        return spec.axes(), lambda *cell: multicam_wins(spec, cell)
     if isinstance(spec, UsSpec):
-        return ([(PlayerClass.PRESIDENT.value, int(spec.has_president)),
-                 (PlayerClass.VICE_PRESIDENT.value, int(spec.has_vp)),
-                 (PlayerClass.SENATOR.value, spec.senate_size),
-                 (PlayerClass.REPRESENTATIVE.value, spec.house_size)],
-                lambda *cell: us_wins(spec, *cell))
+        return spec.axes(), lambda *cell: us_wins(spec, *cell)
     raise TypeError(f"expected MulticamSpec or UsSpec, got {type(spec).__name__}")
 
 

@@ -64,9 +64,18 @@ class UsSpec:
             if not 1 <= quota <= size:
                 raise ValueError(f"{label} must be in [1, {size}], got {quota}")
 
+    def axes(self) -> tuple[tuple[str, int], ...]:
+        """(class id, seats) per seat-count axis, in bit order and in
+        ``PlayerClass`` order; an absent president or vice president is an
+        axis of 0 seats."""
+        return ((PlayerClass.PRESIDENT.value, int(self.has_president)),
+                (PlayerClass.VICE_PRESIDENT.value, int(self.has_vp)),
+                (PlayerClass.SENATOR.value, self.senate_size),
+                (PlayerClass.REPRESENTATIVE.value, self.house_size))
+
     @property
     def total_players(self) -> int:
-        return self.senate_size + self.house_size + self.has_president + self.has_vp
+        return sum(seats for _, seats in self.axes())
 
     @property
     def tie_break_active(self) -> bool:
@@ -79,14 +88,8 @@ class UsSpec:
         )
 
     def classes(self) -> tuple[PlayerClass, ...]:
-        out = []
-        if self.has_president:
-            out.append(PlayerClass.PRESIDENT)
-        if self.has_vp:
-            out.append(PlayerClass.VICE_PRESIDENT)
-        out.append(PlayerClass.SENATOR)
-        out.append(PlayerClass.REPRESENTATIVE)
-        return tuple(out)
+        """The classes with at least one seat, in ``PlayerClass`` order."""
+        return tuple(PlayerClass(name) for name, seats in self.axes() if seats)
 
     def class_ids(self) -> tuple[str, ...]:
         """The classes' ids; the senators' and representatives' come last, in
@@ -117,13 +120,13 @@ def class_critical_vector(spec: UsSpec, cls: PlayerClass) -> CountVector:
     if cls not in spec.classes():
         raise ValueError(f"spec has no {cls.value.replace('_', ' ')}")
     m_s, m_r, q_s, q_r = spec.senate_size, spec.house_size, spec.senate_quota, spec.house_quota
-    # Axes in PlayerClass order; an absent president or VP is an axis of no seats.
+    # On the axes of ``spec.axes()``: president, VP, senate, house.
     boxes = [((0, 1), (0, 1), (spec.senate_override, m_s), (spec.house_override, m_r)),
              ((1, 1), (0, 1), (q_s, m_s), (q_r, m_r))]
     if spec.tie_break_active:
         boxes.append(((1, 1), (1, 1), (q_s - 1, q_s - 1), (q_r, m_r)))
-    return box_critical_vector((int(spec.has_president), int(spec.has_vp), m_s, m_r), boxes,
-                               list(PlayerClass).index(cls))
+    names, seats = zip(*spec.axes())
+    return box_critical_vector(seats, boxes, names.index(cls.value))
 
 
 def ranking(spec: UsSpec, w: WeightingVector) -> tuple[tuple[PlayerClass, Fraction], ...]:

@@ -111,7 +111,7 @@ def critical_vector(game: SimpleGame, player: int) -> CountVector:
     # Indexed by the coalition's mask with the player's bit taken out.
     critical = (halves[:, 1] & ~halves[:, 0]).ravel()
     sizes = np.bincount(_popcounts(game.n - 1)[critical], minlength=game.n)
-    return CountVector((k + 1, int(count)) for k, count in enumerate(sizes))
+    return CountVector({k + 1: int(count) for k, count in enumerate(sizes)})
 
 
 def minimal_winning(game: SimpleGame) -> set[frozenset[int]]:

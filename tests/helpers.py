@@ -1,10 +1,10 @@
 """Independent oracles used to freeze expected values.
 
 Everything here deliberately avoids the library's code paths: binomials come
-from the Pascal recurrence or ``math.comb``, template counts from explicit subset enumeration,
-and the passage rules below are evaluated one bitmask at a time, the way
-``bitmask.rule_table`` defines a table, against which ``bitmask.from_spec``'s
-broadcast tables are checked.
+from the Pascal recurrence or ``math.comb``, a box union's critical counts
+from explicit subset enumeration, and the passage rules below are evaluated
+one bitmask at a time, the way ``bitmask.rule_table`` defines a table, against
+which ``bitmask.from_spec``'s broadcast tables are checked.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from legipower import CoalitionTemplate, MulticamSpec, UsSpec
+from legipower import MulticamSpec, UsSpec
 
 # Small US-style systems (at most 14 players) covering both executive flags
 # and every ordering of signature versus override quotas.
@@ -61,26 +61,6 @@ def plain_convolve(a: list[int], b: list[int]) -> list[int]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
-
-
-def enumerate_template_counts(template: CoalitionTemplate) -> dict[int, int]:
-    """Per-size counts by checking every subset of a labelled universe."""
-    widths = [p.pool_size for p in template.pools]
-    total = sum(widths)
-    counts: dict[int, int] = {}
-    for mask in range(1 << total):
-        offset = 0
-        ok = True
-        for pool, width in zip(template.pools, widths):
-            picked = ((mask >> offset) & ((1 << width) - 1)).bit_count()
-            if not pool.min_pick <= picked <= pool.max_pick:
-                ok = False
-                break
-            offset += width
-        if ok:
-            k = template.fixed_count + mask.bit_count()
-            counts[k] = counts.get(k, 0) + 1
-    return counts
 
 
 def box_union_critical_counts(seats: list[int], boxes, axis: int) -> dict[int, int]:

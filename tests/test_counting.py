@@ -4,16 +4,9 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from legipower import (
-    CoalitionTemplate,
-    CountVector,
-    PoolConstraint,
-    binomial,
-    binomial_row,
-    template_counts,
-)
+from legipower import CountVector, binomial, binomial_row
 from legipower.counting import KRONECKER_MIN_LEN, _convolve, box_critical_vector
-from helpers import box_union_critical_counts, enumerate_template_counts, plain_convolve
+from helpers import box_union_critical_counts, plain_convolve
 
 
 class TestCountVector:
@@ -34,7 +27,7 @@ class TestCountVector:
     def test_bounds_and_total(self):
         vec = CountVector({5: 20, 7: 2, 6: 10})
         assert (vec.k_min, vec.k_max) == (5, 7)
-        assert vec.total() == 32
+        assert sum(v for _, v in vec.items()) == 32
         assert vec.items() == [(5, 20), (6, 10), (7, 2)]
 
     def test_empty(self):
@@ -42,105 +35,112 @@ class TestCountVector:
         assert not vec
         assert vec.k_min is None and vec.k_max is None
 
-    def test_pairs_at_one_size_are_summed(self):
-        assert CountVector([(5, 2), (5, 3), (6, 1)]) == {5: 5, 6: 1}
-
-    def test_pairs_at_distinct_sizes_are_kept(self):
-        assert CountVector([(3, 1), (4, 1), (5, 1)]) == {3: 1, 4: 1, 5: 1}
-
     def test_no_pairs_is_empty(self):
-        assert CountVector([]) == CountVector()
+        assert CountVector({}) == CountVector()
+
+    def test_equal_to_a_mapping_up_to_zero_entries(self):
+        assert CountVector({5: 1}) == {5: 1, 6: 0}
+        assert CountVector({5: 1}) != {5: 2}
+
+    def test_equal_vectors_hash_alike(self):
+        assert hash(CountVector({3: 1, 4: 2})) == hash(CountVector({4: 2, 3: 1, 5: 0}))
+
+
+def _pick_counts(fixed, pools):
+    """Per-size counts of the coalitions of ``fixed`` members plus, from each
+    pool (m, lo, hi), between lo and hi of its m members: the critical numbers
+    of a one-seat axis whose only box holds the pools' ranges."""
+    seats = [1] + [m for m, _, _ in pools]
+    box = ((1, 1),) + tuple((lo, hi) for _, lo, hi in pools)
+    vec = box_critical_vector(seats, [box], 0)
+    return CountVector({k - 1 + fixed: v for k, v in vec.items()})
+
+
+def _enumerated_pick_counts(fixed, pools):
+    """The same counts, from every subset of a labelled universe."""
+    seats = [1] + [m for m, _, _ in pools]
+    box = ((1, 1),) + tuple((lo, hi) for _, lo, hi in pools)
+    return {k - 1 + fixed: v for k, v in box_union_critical_counts(seats, [box], 0).items()}
 
 
 class TestPoolConstraint:
     @pytest.mark.parametrize("pool", [(2, -1, 1), (2, 2, 1), (2, 1, 3)])
     def test_invalid_rejected(self, pool):
-        with pytest.raises(ValueError):
-            PoolConstraint(*pool)
+        # Picks outside 0..m, or from an empty range, are never counted.
+        m, lo, hi = pool
+        vec = _pick_counts(0, [pool])
+        assert vec == _pick_counts(0, [(m, max(lo, 0), min(hi, m))])
+        assert vec == _enumerated_pick_counts(0, [pool])
+        assert bool(vec) == (lo <= hi)
 
 
 class TestTemplateCounts:
     def test_two_pool_example(self):
-        template = CoalitionTemplate(1, (PoolConstraint(2, 1, 1), PoolConstraint(5, 3, 5)))
-        expected = enumerate_template_counts(template)
+        pools = [(2, 1, 1), (5, 3, 5)]
+        expected = _enumerated_pick_counts(1, pools)
         assert expected == {5: 20, 6: 10, 7: 2}
-        assert template_counts(template) == expected
+        assert _pick_counts(1, pools) == expected
 
     def test_empty_product(self):
-        assert template_counts(CoalitionTemplate(0, ())) == {0: 1}
+        assert _pick_counts(0, []) == {0: 1}
 
     def test_single_pool_shifted_row(self):
-        template = CoalitionTemplate(2, (PoolConstraint(3, 0, 3),))
-        assert template_counts(template) == {2: 1, 3: 3, 4: 3, 5: 1}
+        assert _pick_counts(2, [(3, 0, 3)]) == {2: 1, 3: 3, 4: 3, 5: 1}
 
 
 class TestQuotaTemplates:
     def test_two_chambers(self):
-        template = CoalitionTemplate(0, (PoolConstraint(3, 2, 3), PoolConstraint(4, 3, 4)))
-        assert enumerate_template_counts(template)[5] == 12
-        assert template_counts(template)[5] == 12
+        pools = [(3, 2, 3), (4, 3, 4)]
+        assert _enumerated_pick_counts(0, pools)[5] == 12
+        assert _pick_counts(0, pools)[5] == 12
 
     def test_everyone_needed_at_the_top(self):
-        template = CoalitionTemplate(0, (PoolConstraint(3, 2, 3), PoolConstraint(4, 3, 4)))
-        assert template_counts(template)[7] == 1
+        assert _pick_counts(0, [(3, 2, 3), (4, 3, 4)])[7] == 1
 
     def test_below_quota_is_zero(self):
-        assert template_counts(CoalitionTemplate(0, (PoolConstraint(3, 2, 3),)))[1] == 0
+        assert _pick_counts(0, [(3, 2, 3)])[1] == 0
 
     def test_empty_chamber_list(self):
-        assert template_counts(CoalitionTemplate(0)) == {0: 1}
+        assert _pick_counts(0, []) == {0: 1}
 
     def test_invalid_quota_rejected(self):
-        with pytest.raises(ValueError):
-            PoolConstraint(3, 4, 3)
+        # A quota above the chamber's size admits no coalition.
+        assert not _pick_counts(0, [(3, 4, 3)])
 
 
 _pools = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)).map(
-        lambda t: PoolConstraint(max(t[0], t[1], t[2]), min(t[1], t[2]), max(t[1], t[2]))
+        lambda t: (max(t), min(t[1], t[2]), max(t[1], t[2]))
     ),
     min_size=0,
     max_size=3,
 )
 
 
-def _small_templates(pools, fixed):
-    template = CoalitionTemplate(fixed, tuple(pools))
-    if sum(p.pool_size for p in template.pools) > 14:
-        return None
-    return template
-
-
 class TestTemplateProperties:
     @settings(max_examples=80, deadline=None)
     @given(pools=_pools, fixed=st.integers(0, 3))
     def test_matches_exhaustive_enumeration(self, pools, fixed):
-        template = _small_templates(pools, fixed)
-        if template is None:
+        if sum(m for m, _, _ in pools) > 14:
             return
-        assert template_counts(template) == enumerate_template_counts(template)
+        assert _pick_counts(fixed, pools) == _enumerated_pick_counts(fixed, pools)
 
     @settings(max_examples=80, deadline=None)
     @given(pools=_pools, fixed=st.integers(0, 3))
     def test_total_mass(self, pools, fixed):
-        template = CoalitionTemplate(fixed, tuple(pools))
-        expected = math.prod(
-            sum(math.comb(p.pool_size, a) for a in range(p.min_pick, p.max_pick + 1))
-            for p in template.pools
-        )
-        assert template_counts(template).total() == expected
+        expected = math.prod(sum(math.comb(m, a) for a in range(lo, hi + 1))
+                             for m, lo, hi in pools)
+        assert sum(v for _, v in _pick_counts(fixed, pools).items()) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(pools=_pools, fixed=st.integers(0, 3))
     def test_pool_order_irrelevant(self, pools, fixed):
-        template = CoalitionTemplate(fixed, tuple(pools))
-        reordered = CoalitionTemplate(fixed, tuple(reversed(template.pools)))
-        assert template_counts(template) == template_counts(reordered)
+        assert _pick_counts(fixed, pools) == _pick_counts(fixed, pools[::-1])
 
     @settings(max_examples=80, deadline=None)
     @given(pools=_pools, fixed=st.integers(0, 3))
     def test_support_is_an_interval(self, pools, fixed):
-        support = template_counts(CoalitionTemplate(fixed, tuple(pools))).support()
+        support = _pick_counts(fixed, pools).support()
         assert list(support) == list(range(support[0], support[-1] + 1))
 
 
@@ -214,7 +214,7 @@ class TestBoxCriticalVector:
     def test_disjoint_boxes_add(self):
         seats, low, high = [3, 5], ((2, 3), (0, 1)), ((2, 3), (3, 5))
         union = box_critical_vector(seats, [low, high], 0)
-        parts = [box_critical_vector(seats, [b], 0).to_dict() for b in (low, high)]
+        parts = [dict(box_critical_vector(seats, [b], 0).items()) for b in (low, high)]
         assert union == {k: parts[0].get(k, 0) + parts[1].get(k, 0) for k in range(9)}
         assert union == box_union_critical_counts(seats, [low, high], 0)
 
@@ -246,7 +246,7 @@ def _span(draw, m, clipped=False):
     return lo, draw(st.integers(lo, m) if clipped else st.integers(lo - 1, m + 1))
 
 
-_seats = st.lists(st.integers(1, 4), min_size=2, max_size=4).filter(lambda s: sum(s) <= 10)
+_seats = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda s: sum(s) <= 10)
 
 
 @st.composite

@@ -414,7 +414,7 @@ class TestLattice:
         assert imported == {
             ("__future__", "annotations"), ("itertools", "product"), ("math", "comb"),
             ("math", "prod"), ("typing", "Callable"), ("chambers", "MulticamSpec"),
-            ("counting", "CountVector"), ("uslike", "PlayerClass"), ("uslike", "UsSpec"),
+            ("counting", "CountVector"), ("uslike", "UsSpec"),
         }
 
     @pytest.mark.parametrize("rule, axiom", [

@@ -219,7 +219,7 @@ class TestIndexProperties:
             w = banzhaf(game.n)
             for player in game.players():
                 vec = critical_vector(game, player)
-                assert evaluate(w, vec) * 2 ** (game.n - 1) == vec.total()
+                assert evaluate(w, vec) * 2 ** (game.n - 1) == sum(v for _, v in vec.items())
 
     def test_monotone_evaluation_under_dominance(self, us_vectors):
         # A coordinatewise-dominant critical vector never evaluates lower,
