@@ -16,7 +16,6 @@ from .chambers import (
     compare_members,
     crossover_sizes,
     majority_quota,
-    member_critical_vector,
 )
 from .combinat import (
     CertBasis,
@@ -40,7 +39,6 @@ from .semivalues import (
 from .uslike import (
     PlayerClass,
     UsSpec,
-    class_critical_vector,
     ranking,
     supermajority_scan,
 )
@@ -65,13 +63,11 @@ __all__ = [
     "binomial",
     "binomial_row",
     "certify_comparison",
-    "class_critical_vector",
     "classify_bicameral",
     "compare_members",
     "crossover_sizes",
     "evaluate",
     "majority_quota",
-    "member_critical_vector",
     "point_mass",
     "ranking",
     "shapley_shubik",

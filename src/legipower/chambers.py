@@ -1,10 +1,12 @@
 """Closed-form member critical numbers for multicameral legislatures.
 
 A legislature passes a motion when every chamber meets its quota: counted in
-seats, the winning coalitions form one box, quota..size in every chamber, and
-``counting.box_critical_vector`` counts a member's critical coalitions.  Member
-comparisons are ``weak_desirability`` relations, cross-checked against the
-certificate route where it applies.
+seats, the winning coalitions form one box, quota..size in every chamber.
+``MulticamSpec.boxes()`` states it, and ``SeatGame.critical_vector`` counts a
+member's critical coalitions from it: at size k, C(m-1, q-1) * U(k - q), where
+U counts the quota-meeting picks from the other chambers.  Member comparisons
+are ``weak_desirability`` relations, cross-checked against the certificate
+route where it applies.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .combinat import CertOutcome, certify_comparison
-from .counting import CountVector, box_critical_vector
+from .counting import CountVector, SeatGame
 from .semivalues import Relation, size_signs, weak_desirability
 
 
@@ -49,7 +51,7 @@ class ChamberSpec:
 
 
 @dataclass(frozen=True)
-class MulticamSpec:
+class MulticamSpec(SeatGame):
     """A legislature of one or more chambers; passage needs every quota met."""
 
     chambers: tuple[ChamberSpec, ...]
@@ -67,16 +69,9 @@ class MulticamSpec:
         chamber, named after it, in chamber order."""
         return tuple((c.name, c.size) for c in self.chambers)
 
-    @property
-    def total_players(self) -> int:
-        return sum(seats for _, seats in self.axes())
-
-    def class_ids(self) -> tuple[str, ...]:
-        """One player class per chamber, named after it, in chamber order."""
-        return tuple(name for name, _ in self.axes())
-
-    def critical_vector(self, class_id: str) -> CountVector:
-        return member_critical_vector(self, class_id)
+    def boxes(self) -> list[tuple[tuple[int, int], ...]]:
+        """The winning seat counts: one box, quota..size in every chamber."""
+        return [tuple((c.quota, c.size) for c in self.chambers)]
 
     def to_document(self) -> dict:
         """The spec-file document describing this legislature."""
@@ -88,18 +83,6 @@ class MulticamSpec:
             if c.name == name:
                 return c
         raise KeyError(f"no chamber named {name!r}")
-
-
-def member_critical_vector(spec: MulticamSpec, chamber: str) -> CountVector:
-    """Exact critical numbers of one member of the named chamber.
-
-    One box, quota..size seats in every chamber: at size k the member is
-    critical in C(m-1, q-1) * U(k - q) coalitions, where U counts the
-    quota-meeting picks from the other chambers (U(0) = 1 for one chamber).
-    """
-    names, seats = zip(*spec.axes())
-    return box_critical_vector(seats, [[(c.quota, c.size) for c in spec.chambers]],
-                               names.index(spec.chamber(chamber).name))
 
 
 class CertificationMismatchError(RuntimeError):
@@ -116,8 +99,7 @@ def _member_signs(spec: MulticamSpec, a: str, b: str
     if a == b:
         raise ValueError("compare_members needs two distinct chambers")
     ca, cb = spec.chamber(a), spec.chamber(b)
-    va = member_critical_vector(spec, a)
-    vb = member_critical_vector(spec, b)
+    va, vb = spec.critical_vector(a), spec.critical_vector(b)
     signs = size_signs(va, vb)
     if len(spec.chambers) == 2 and 1 < ca.quota < ca.size and 1 < cb.quota < cb.size:
         for k, verdict in certify_comparison(ca.size, ca.quota, cb.size, cb.quota).items():

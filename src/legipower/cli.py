@@ -26,7 +26,6 @@ from .reporting import (
     approx_int,
     approx_rational,
     format_int,
-    format_rational,
     render,
 )
 from .semivalues import (
@@ -124,12 +123,12 @@ def _index_sections(report: Report, vectors: dict[str, CountVector],
     for index_name, w in indices:
         values = {class_id: evaluate(w, vec) for class_id, vec in vectors.items()}
         for class_id, value in values.items():
-            row = (class_id, index_name, format_rational(value))
+            row = (class_id, index_name, str(value))
             if approx:
                 row += (approx_rational(value),)
             values_sec.rows.append(row)
         for rank, class_id, value in competition_ranks(values):
-            ranking_sec.rows.append((index_name, str(rank), class_id, format_rational(value)))
+            ranking_sec.rows.append((index_name, str(rank), class_id, str(value)))
 
 
 def _vectors(spec: Legislature) -> dict[str, CountVector]:
@@ -174,7 +173,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         for favours, size in zip((class_a, class_b), relation.witness):
             weight = point_mass(spec.total_players, size).weight(size)
-            dsec.rows.append((favours, str(size), format_rational(weight)))
+            dsec.rows.append((favours, str(size), str(weight)))
     print(render(report, args.format), end="")
     return 0
 

@@ -5,7 +5,9 @@ so a coalition is counted by its seats on each axis.  ``box_critical_vector``
 counts a player's critical coalitions, per coalition size, as a signed sum
 over the boxes' intersections.  Each term is one binomial on the player's own
 axis times the convolution of the other axes' binomial rows, each cut to the
-term's range on its axis, so every count is an exact integer.
+term's range on its axis, so every count is an exact integer.  ``SeatGame``,
+the base of both spec types, derives a spec's classes and critical vectors
+from its ``axes()`` and ``boxes()``.
 """
 
 from __future__ import annotations
@@ -156,3 +158,30 @@ def box_critical_vector(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int
                 counts[k] = counts.get(k, 0) + core * v
     # Summed first: single products may be negative, their sums are not.
     return CountVector(counts)
+
+
+class SeatGame:
+    """A simple game counted in seats, stated by two methods of its subclass.
+
+    ``axes()`` gives (class id, seats) per seat-count axis, in bit order.
+    ``boxes()`` gives the winning seat counts as a union of boxes, one
+    (lo, hi) range per axis; the union must be monotone along every axis (one
+    more seat on any axis never turns a win into a loss), as
+    ``box_critical_vector`` requires.
+    """
+
+    @property
+    def total_players(self) -> int:
+        return sum(seats for _, seats in self.axes())
+
+    def class_ids(self) -> tuple[str, ...]:
+        """The ids of the axes with at least one seat, in axis order."""
+        return tuple(name for name, seats in self.axes() if seats)
+
+    def critical_vector(self, class_id: str) -> CountVector:
+        """Exact critical numbers of one player of the class, for every size."""
+        if class_id not in self.class_ids():
+            raise ValueError(f"no player class {class_id!r}; the classes are "
+                             f"{', '.join(self.class_ids())}")
+        names, seats = zip(*self.axes())
+        return box_critical_vector(seats, self.boxes(), names.index(class_id))

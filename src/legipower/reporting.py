@@ -45,10 +45,6 @@ def format_int(value: int, elide: bool) -> str:
     return text
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def approx_rational(value: Fraction) -> str:
     if 0 < abs(value) < Fraction(sys.float_info.min):  # float() would lose digits
         # Rounded once to 7 digits; no fraction in memory is below MIN_EMIN.

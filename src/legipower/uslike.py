@@ -6,8 +6,9 @@ exact tie) or on the override track (both override quotas met, president not
 needed).  Counted in seats on the axes (president, vice president, senate,
 house), the winning coalitions are a union of boxes: the override box, the
 signature box, and, when the tie break is active, the vice president's tie
-row at exactly one seat short of the senate quota.  Every class's critical
-numbers come from ``counting.box_critical_vector`` on those boxes.
+row at exactly one seat short of the senate quota.  ``UsSpec.boxes()`` states
+them, and ``SeatGame.critical_vector`` counts every class's critical numbers
+from them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .counting import CountVector, box_critical_vector
+from .counting import CountVector, SeatGame
 from .semivalues import Relation, WeightingVector, competition_ranks, evaluate, weak_desirability
 
 
@@ -29,7 +30,7 @@ class PlayerClass(Enum):
 
 
 @dataclass(frozen=True)
-class UsSpec:
+class UsSpec(SeatGame):
     """Sizes, signature-track quotas, override quotas, and executive flags.
 
     The override quotas may sit on either side of the signature quotas; both
@@ -73,9 +74,15 @@ class UsSpec:
                 (PlayerClass.SENATOR.value, self.senate_size),
                 (PlayerClass.REPRESENTATIVE.value, self.house_size))
 
-    @property
-    def total_players(self) -> int:
-        return sum(seats for _, seats in self.axes())
+    def boxes(self) -> list[tuple[tuple[int, int], ...]]:
+        """The winning seat counts on ``axes()``: the override box, the
+        signature box and, when the tie break is active, the VP's tie row."""
+        m_s, m_r, q_s, q_r = self.senate_size, self.house_size, self.senate_quota, self.house_quota
+        boxes = [((0, 1), (0, 1), (self.senate_override, m_s), (self.house_override, m_r)),
+                 ((1, 1), (0, 1), (q_s, m_s), (q_r, m_r))]
+        if self.tie_break_active:
+            boxes.append(((1, 1), (1, 1), (q_s - 1, q_s - 1), (q_r, m_r)))
+        return boxes
 
     @property
     def tie_break_active(self) -> bool:
@@ -89,15 +96,7 @@ class UsSpec:
 
     def classes(self) -> tuple[PlayerClass, ...]:
         """The classes with at least one seat, in ``PlayerClass`` order."""
-        return tuple(PlayerClass(name) for name, seats in self.axes() if seats)
-
-    def class_ids(self) -> tuple[str, ...]:
-        """The classes' ids; the senators' and representatives' come last, in
-        chamber order."""
-        return tuple(cls.value for cls in self.classes())
-
-    def critical_vector(self, class_id: str) -> CountVector:
-        return class_critical_vector(self, PlayerClass(class_id))
+        return tuple(map(PlayerClass, self.class_ids()))
 
     def to_document(self) -> dict:
         """The spec-file document describing this system."""
@@ -115,20 +114,6 @@ class UsSpec:
         }
 
 
-def class_critical_vector(spec: UsSpec, cls: PlayerClass) -> CountVector:
-    """Exact critical numbers of one player of the given class, for every size."""
-    if cls not in spec.classes():
-        raise ValueError(f"spec has no {cls.value.replace('_', ' ')}")
-    m_s, m_r, q_s, q_r = spec.senate_size, spec.house_size, spec.senate_quota, spec.house_quota
-    # On the axes of ``spec.axes()``: president, VP, senate, house.
-    boxes = [((0, 1), (0, 1), (spec.senate_override, m_s), (spec.house_override, m_r)),
-             ((1, 1), (0, 1), (q_s, m_s), (q_r, m_r))]
-    if spec.tie_break_active:
-        boxes.append(((1, 1), (1, 1), (q_s - 1, q_s - 1), (q_r, m_r)))
-    names, seats = zip(*spec.axes())
-    return box_critical_vector(seats, boxes, names.index(cls.value))
-
-
 def ranking(spec: UsSpec, w: WeightingVector) -> tuple[tuple[PlayerClass, Fraction], ...]:
     """Classes with their index values, sorted from most to least powerful.
 
@@ -139,7 +124,7 @@ def ranking(spec: UsSpec, w: WeightingVector) -> tuple[tuple[PlayerClass, Fracti
         raise ValueError(
             f"weighting vector sized for {w.n} players, spec has {spec.total_players}"
         )
-    values = {cls: evaluate(w, class_critical_vector(spec, cls)) for cls in spec.classes()}
+    values = {cls: evaluate(w, spec.critical_vector(cls.value)) for cls in spec.classes()}
     return tuple((cls, value) for _, cls, value in competition_ranks(values))
 
 
@@ -155,11 +140,11 @@ def supermajority_scan(
     out = []
     for quota in senate_quotas:
         scanned = replace(spec, senate_quota=quota)
-        cs = class_critical_vector(scanned, PlayerClass.SENATOR)
-        cr = class_critical_vector(scanned, PlayerClass.REPRESENTATIVE)
+        cs = scanned.critical_vector(PlayerClass.SENATOR.value)
+        cr = scanned.critical_vector(PlayerClass.REPRESENTATIVE.value)
         sr = weak_desirability(cs, cr)
         if scanned.has_president:
-            cp = class_critical_vector(scanned, PlayerClass.PRESIDENT)
+            cp = scanned.critical_vector(PlayerClass.PRESIDENT.value)
             ps = weak_desirability(cp, cs)
         else:
             ps = weak_desirability(CountVector(), cs)

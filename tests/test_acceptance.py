@@ -20,11 +20,9 @@ from legipower import (
     banzhaf,
     binomial,
     certify_comparison,
-    class_critical_vector,
     compare_members,
     crossover_sizes,
     majority_quota,
-    member_critical_vector,
     ranking,
     shapley_shubik,
     supermajority_scan,
@@ -45,7 +43,7 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
 
 def _us_vectors() -> dict[PlayerClass, CountVector]:
     spec = UsSpec()
-    return {cls: class_critical_vector(spec, cls) for cls in spec.classes()}
+    return {cls: spec.critical_vector(cls.value) for cls in spec.classes()}
 
 
 def test_criterion_1_us_weak_desirability_relations():
@@ -94,8 +92,8 @@ def test_criterion_2_banzhaf_and_shapley_rankings():
 
 
 def test_criterion_3_vp_versus_representative_sign_table():
-    cv = class_critical_vector(UsSpec(), PlayerClass.VICE_PRESIDENT)
-    cr = class_critical_vector(UsSpec(), PlayerClass.REPRESENTATIVE)
+    cv = UsSpec().critical_vector(PlayerClass.VICE_PRESIDENT.value)
+    cr = UsSpec().critical_vector(PlayerClass.REPRESENTATIVE.value)
     signs = size_signs(cv, cr)
     ok = all(signs[k] == 1 for k in range(270, 357))
     ok = ok and all(signs[k] == -1 for k in range(357, 380))
@@ -151,8 +149,8 @@ def test_criterion_6_exceptional_case_extremes():
             ChamberSpec.simple_majority("small", m_small),
             ChamberSpec.simple_majority("large", m_large),
         ))
-        v_small = member_critical_vector(spec, "small")
-        v_large = member_critical_vector(spec, "large")
+        v_small = spec.critical_vector("small")
+        v_large = spec.critical_vector("large")
         minimal = v_small.k_min
         assert v_small[minimal] == v_large[minimal], (m_small, m_large)
         for k in v_small.support():
@@ -186,8 +184,8 @@ def test_criterion_7_senate_quota_scan_president_over_senator():
 
 def test_criterion_7_house_supermajority_reversal():
     spec = UsSpec(house_quota=401, house_override=401)
-    cs = class_critical_vector(spec, PlayerClass.SENATOR)
-    cr = class_critical_vector(spec, PlayerClass.REPRESENTATIVE)
+    cs = spec.critical_vector(PlayerClass.SENATOR.value)
+    cr = spec.critical_vector(PlayerClass.REPRESENTATIVE.value)
     rel = weak_desirability(cr, cs)
     ok = rel.kind is Dominance.STRICTLY_ABOVE
     ok = ok and cr[503] == binomial(434, 400)
@@ -203,7 +201,7 @@ def test_criterion_7_house_supermajority_endpoint_senator_value():
     # senator, 66 other senators, the vice president, and the full house).
     # The assertion is kept strict and the discrepancy recorded here.
     spec = UsSpec(house_quota=401, house_override=401)
-    cs = class_critical_vector(spec, PlayerClass.SENATOR)
+    cs = spec.critical_vector(PlayerClass.SENATOR.value)
     ok = cs[503] == binomial(100, 50)
     _report("7 house quota 401 endpoint senator value", ok,
             f"computed C(99,66)={cs[503]}, stated C(100,50)={binomial(100, 50)}")
@@ -226,7 +224,7 @@ def test_criterion_8a_two_chamber_grid_matches_enumeration():
                     games += 1
                     for name in ("a", "b"):
                         player = game.players(name)[0]
-                        assert member_critical_vector(spec, name) == \
+                        assert spec.critical_vector(name) == \
                             critical_vector(game, player), (m_a, q_a, m_b, q_b, name)
     elapsed = time.perf_counter() - started
     _report("8a two-chamber grid versus enumeration", True,
@@ -265,7 +263,7 @@ def test_criterion_8b_three_chamber_catalog_matches_enumeration():
         game = from_spec(spec)
         for chamber in spec.chambers:
             player = game.players(chamber.name)[0]
-            assert member_critical_vector(spec, chamber.name) == \
+            assert spec.critical_vector(chamber.name) == \
                 critical_vector(game, player), (spec, chamber.name)
     _report("8b three-chamber catalog versus enumeration", True, f"{len(catalog)} specs")
 
@@ -277,7 +275,7 @@ def test_criterion_8c_mini_us_specs_match_enumeration():
         game = from_spec(spec)
         for cls in spec.classes():
             player = game.players(cls.value)[0]
-            assert class_critical_vector(spec, cls) == critical_vector(game, player), \
+            assert spec.critical_vector(cls.value) == critical_vector(game, player), \
                 (spec, cls)
     _report("8c mini us-style specs versus enumeration", True,
             f"{len(MINI_US_SPECS)} specs")

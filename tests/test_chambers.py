@@ -12,7 +12,6 @@ from legipower import (
     compare_members,
     crossover_sizes,
     majority_quota,
-    member_critical_vector,
 )
 from legipower import chambers
 from legipower.combinat import CertBasis, CertOutcome, CertVerdict
@@ -54,18 +53,18 @@ class TestSpecs:
 
 class TestMemberCriticalVector:
     def test_smaller_chamber_example(self):
-        assert member_critical_vector(_bicam(3, 2, 5, 3), "a") == {5: 20, 6: 10, 7: 2}
+        assert _bicam(3, 2, 5, 3).critical_vector("a") == {5: 20, 6: 10, 7: 2}
 
     def test_larger_chamber_example(self):
-        assert member_critical_vector(_bicam(3, 2, 5, 3), "b") == {5: 18, 6: 6}
+        assert _bicam(3, 2, 5, 3).critical_vector("b") == {5: 18, 6: 6}
 
     def test_single_chamber_is_plain_majority_game(self):
         spec = MulticamSpec((ChamberSpec("only", 3, 2),))
-        assert member_critical_vector(spec, "only") == {2: 2}
+        assert spec.critical_vector("only") == {2: 2}
 
     def test_unknown_chamber(self):
-        with pytest.raises(KeyError):
-            member_critical_vector(_bicam(3, 2, 5, 3), "c")
+        with pytest.raises(ValueError, match="'c'.*a, b"):
+            _bicam(3, 2, 5, 3).critical_vector("c")
 
     def test_support_range_law_on_grid(self):
         # For two chambers the support runs from the joint quota to the own
@@ -75,7 +74,7 @@ class TestMemberCriticalVector:
                 for q_a in range(1, m_a + 1):
                     for q_b in range(1, m_b + 1):
                         spec = _bicam(m_a, q_a, m_b, q_b)
-                        vec = member_critical_vector(spec, "a")
+                        vec = spec.critical_vector("a")
                         assert vec.k_min == q_a + q_b
                         assert vec.k_max == q_a + m_b
                         assert vec.support() == tuple(range(q_a + q_b, q_a + m_b + 1))
@@ -89,8 +88,8 @@ class TestMemberCriticalVector:
                     ChamberSpec.simple_majority("a", m_a),
                     ChamberSpec.simple_majority("b", m_b),
                 ))
-                small = set(member_critical_vector(spec, "a").support())
-                large = set(member_critical_vector(spec, "b").support())
+                small = set(spec.critical_vector("a").support())
+                large = set(spec.critical_vector("b").support())
                 assert large <= small
 
     def test_three_chambers_match_oracle(self):
@@ -100,7 +99,7 @@ class TestMemberCriticalVector:
         game = from_spec(spec)
         for chamber in spec.chambers:
             player = game.players(chamber.name)[0]
-            assert member_critical_vector(spec, chamber.name) == critical_vector(game, player)
+            assert spec.critical_vector(chamber.name) == critical_vector(game, player)
 
 
 _MIRROR = {
@@ -114,7 +113,7 @@ _MIRROR = {
 
 
 def _signs(spec, a, b):
-    return size_signs(member_critical_vector(spec, a), member_critical_vector(spec, b))
+    return size_signs(spec.critical_vector(a), spec.critical_vector(b))
 
 
 class TestCompareMembers:
@@ -283,8 +282,8 @@ class TestCrossoverSizes:
                 q_a = majority_quota(m_a)
                 q_b = majority_quota(m_b)
                 spec = _bicam(m_a, q_a, m_b, q_b)
-                small = member_critical_vector(spec, "a")
-                large = member_critical_vector(spec, "b")
+                small = spec.critical_vector("a")
+                large = spec.critical_vector("b")
                 cross = crossover_sizes(m_a, q_a, m_b, q_b)
                 support = list(large.support())
                 prefix = support[:len(cross)]

@@ -229,7 +229,7 @@ class TestOracle:
         from legipower import chambers
         from legipower.counting import CountVector
 
-        monkeypatch.setattr(chambers, "member_critical_vector",
+        monkeypatch.setattr(chambers.MulticamSpec, "critical_vector",
                             lambda spec, chamber: CountVector({5: 20, 6: 9, 7: 2}))
         code, out, _ = _run(capsys, "oracle", write_spec(BICAM), "--format", "json", "--no-meta")
         assert code == 1

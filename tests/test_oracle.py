@@ -12,10 +12,8 @@ from legipower import (
     Dominance,
     MulticamSpec,
     UsSpec,
-    class_critical_vector,
     lattice,
     majority_quota,
-    member_critical_vector,
     supermajority_scan,
     weak_desirability,
 )
@@ -107,7 +105,7 @@ class TestCriticalVector:
         game = from_spec(spec)
         senator = game.players("senate")[0]
         assert critical_vector(game, senator) == {5: 20, 6: 10, 7: 2}
-        assert critical_vector(game, senator) == member_critical_vector(spec, "senate")
+        assert critical_vector(game, senator) == spec.critical_vector("senate")
 
 
 class TestMinimalWinning:
@@ -252,6 +250,16 @@ def _us_specs(max_players: int):
                         yield UsSpec(senate, house, q_s, q_r, o_s, o_r, president, vp)
 
 
+def _us_specs_of_every_quota():
+    """Every US-style spec with chambers of 1 to 4 seats: every signature quota
+    and every override, under all four executive-flag patterns."""
+    for president, vp in itertools.product((True, False), repeat=2):
+        for senate, house in itertools.product(range(1, 5), repeat=2):
+            for q_s, o_s in itertools.product(range(1, senate + 1), repeat=2):
+                for q_r, o_r in itertools.product(range(1, house + 1), repeat=2):
+                    yield UsSpec(senate, house, q_s, q_r, o_s, o_r, president, vp)
+
+
 class TestWideSweep:
     def test_every_small_us_spec_matches_the_closed_form(self):
         count = 0
@@ -260,7 +268,7 @@ class TestWideSweep:
             game = from_spec(spec)
             for cls in spec.classes():
                 player = game.players(cls.value)[0]
-                assert class_critical_vector(spec, cls) == critical_vector(game, player), \
+                assert spec.critical_vector(cls.value) == critical_vector(game, player), \
                     (spec, cls)
             count += 1
         assert count == 15157
@@ -269,22 +277,18 @@ class TestWideSweep:
         """Every signature quota and every override, including overrides below
         the signature quotas and quotas off the majority."""
         count = 0
-        for president, vp in itertools.product((True, False), repeat=2):
-            for senate, house in itertools.product(range(1, 5), repeat=2):
-                for q_s, o_s in itertools.product(range(1, senate + 1), repeat=2):
-                    for q_r, o_r in itertools.product(range(1, house + 1), repeat=2):
-                        spec = UsSpec(senate, house, q_s, q_r, o_s, o_r, president, vp)
-                        game = from_spec(spec)
-                        counted = lattice.critical_vectors(spec)
-                        assert list(counted) == list(spec.class_ids()), spec
-                        assert lattice.cell_count(spec) == \
-                            (senate + 1) * (house + 1) * (1 + president) * (1 + vp), spec
-                        for cls in spec.classes():
-                            player = game.players(cls.value)[0]
-                            enumerated = critical_vector(game, player)
-                            assert class_critical_vector(spec, cls) == enumerated, (spec, cls)
-                            assert counted[cls.value] == enumerated, (spec, cls)
-                        count += 1
+        for spec in _us_specs_of_every_quota():
+            game = from_spec(spec)
+            counted = lattice.critical_vectors(spec)
+            assert list(counted) == list(spec.class_ids()), spec
+            assert lattice.cell_count(spec) == (spec.senate_size + 1) * (spec.house_size + 1) \
+                * (1 + spec.has_president) * (1 + spec.has_vp), spec
+            for cls in spec.classes():
+                player = game.players(cls.value)[0]
+                enumerated = critical_vector(game, player)
+                assert spec.critical_vector(cls.value) == enumerated, (spec, cls)
+                assert counted[cls.value] == enumerated, (spec, cls)
+            count += 1
         assert count == 3600
 
     @settings(max_examples=100, deadline=None)
@@ -317,7 +321,7 @@ def _assert_enumerations_match(spec: MulticamSpec) -> SimpleGame:
     assert lattice.cell_count(spec) == prod(c.size + 1 for c in spec.chambers), spec
     for chamber in spec.chambers:
         enumerated = critical_vector(game, game.players(chamber.name)[0])
-        assert enumerated == member_critical_vector(spec, chamber.name), spec
+        assert enumerated == spec.critical_vector(chamber.name), spec
         assert counted[chamber.name] == enumerated, spec
     return game
 
@@ -353,7 +357,7 @@ class TestLattice:
         counted = lattice.critical_vectors(spec)
         assert lattice.cell_count(spec) == 2 * 2 * 101 * 436
         for cls in spec.classes():
-            assert counted[cls.value] == class_critical_vector(spec, cls), cls
+            assert counted[cls.value] == spec.critical_vector(cls.value), cls
         president, senator = counted["president"], counted["senator"]
         # The refuting values of the criterion-7 checks, by a route that
         # shares no code with the closed forms.
@@ -406,8 +410,30 @@ class TestLattice:
                       president, vp)
         _assert_lattice_matches_the_closed_forms(spec)
 
+    def test_boxes_describe_the_passage_rule(self):
+        """On every cell of every small spec, the union of ``spec.boxes()``
+        wins exactly where the lattice's passage rule does.  The lattice
+        audits that rule for monotonicity, so the union meets
+        ``box_critical_vector``'s precondition on these specs."""
+        seat_quota = [(m, q) for m in range(1, 5) for q in range(1, m + 1)]
+        multicam = [
+            MulticamSpec(tuple(ChamberSpec(f"c{i}", m, q) for i, (m, q) in enumerate(chambers)))
+            for c in range(1, 4) for chambers in itertools.product(seat_quota, repeat=c)
+        ]
+        us = list(_us_specs_of_every_quota())
+        assert (len(multicam), len(us)) == (1110, 3600)
+        for spec in multicam + us:
+            layout, wins = lattice.axes(spec)
+            boxes = spec.boxes()
+            for cell in itertools.product(*(range(m + 1) for _, m in layout)):
+                in_union = any(all(lo <= a <= hi for a, (lo, hi) in zip(cell, box))
+                               for box in boxes)
+                assert in_union == bool(wins(*cell)), (spec, cell)
+            lattice.critical_vectors(spec)
+
     def test_imports_no_closed_form_and_no_numpy(self):
-        tree = ast.parse(Path(lattice.__file__).read_text())
+        source = Path(lattice.__file__).read_text()
+        tree = ast.parse(source)
         imported = {(node.module, alias.name) for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert not any(isinstance(node, ast.Import) for node in ast.walk(tree))
@@ -416,6 +442,11 @@ class TestLattice:
             ("math", "prod"), ("typing", "Callable"), ("chambers", "MulticamSpec"),
             ("counting", "CountVector"), ("uslike", "UsSpec"),
         }
+        # The spec types carry the closed form as methods; the lattice must
+        # not reach it through them.
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not named & {"boxes", "critical_vector", "box_critical_vector"}
 
     @pytest.mark.parametrize("rule, axiom", [
         (lambda spec, counts: True, "empty-cell-wins"),

@@ -14,9 +14,7 @@ from legipower import (
     WeightingVector,
     banzhaf,
     binomial,
-    class_critical_vector,
     evaluate,
-    member_critical_vector,
     point_mass,
     shapley_shubik,
     weak_desirability,
@@ -28,7 +26,7 @@ from bitmask import critical_vector, from_spec
 @pytest.fixture(scope="module")
 def us_vectors():
     spec = UsSpec()
-    return {cls: class_critical_vector(spec, cls) for cls in spec.classes()}
+    return {cls: spec.critical_vector(cls.value) for cls in spec.classes()}
 
 
 class TestConstructors:
@@ -183,8 +181,8 @@ class TestDistinguishingIndices:
 
     def test_middle_case_bicameral_members(self):
         spec = MulticamSpec((ChamberSpec("small", 101, 51), ChamberSpec("large", 150, 76)))
-        v_small = member_critical_vector(spec, "small")
-        v_large = member_critical_vector(spec, "large")
+        v_small = spec.critical_vector("small")
+        v_large = spec.critical_vector("large")
         pro, contra = (point_mass(251, k) for k in weak_desirability(v_large, v_small).witness)
         assert pro.weight(127) > 0
         assert contra.weight(129) > 0

@@ -8,9 +8,7 @@ from legipower import (
     UsSpec,
     banzhaf,
     binomial,
-    class_critical_vector,
     evaluate,
-    member_critical_vector,
     point_mass,
     ranking,
     shapley_shubik,
@@ -25,7 +23,7 @@ from helpers import MINI_US_SPECS
 @pytest.fixture(scope="module")
 def default_vectors():
     spec = UsSpec()
-    return {cls: class_critical_vector(spec, cls) for cls in spec.classes()}
+    return {cls: spec.critical_vector(cls.value) for cls in spec.classes()}
 
 
 class TestUsSpec:
@@ -56,10 +54,13 @@ class TestUsSpec:
         assert PlayerClass.PRESIDENT not in UsSpec(has_president=False).classes()
 
     def test_missing_class_rejected(self):
-        with pytest.raises(ValueError):
-            class_critical_vector(UsSpec(has_vp=False), PlayerClass.VICE_PRESIDENT)
-        with pytest.raises(ValueError):
-            class_critical_vector(UsSpec(has_president=False), PlayerClass.PRESIDENT)
+        with pytest.raises(ValueError, match="'vice_president'"):
+            UsSpec(has_vp=False).critical_vector("vice_president")
+        with pytest.raises(ValueError, match="'president'"):
+            UsSpec(has_president=False).critical_vector("president")
+        two_chambers = MulticamSpec((ChamberSpec("s", 3, 2), ChamberSpec("r", 4, 3)))
+        with pytest.raises(ValueError, match="'senator'.*s, r"):
+            two_chambers.critical_vector("senator")
 
 
 class TestDefaultSpotValues:
@@ -118,7 +119,7 @@ class TestOracleEquivalence:
         for cls in spec.classes():
             players = game.players(cls.value)
             expected = critical_vector(game, players[0])
-            assert class_critical_vector(spec, cls) == expected, cls
+            assert spec.critical_vector(cls.value) == expected, cls
 
 
 class TestVpAgainstRepresentative:
@@ -144,8 +145,8 @@ class TestVpAgainstRepresentative:
         game = from_spec(spec)
         cv = critical_vector(game, game.players("vice_president")[0])
         cr = critical_vector(game, game.players("representative")[0])
-        signs = size_signs(class_critical_vector(spec, PlayerClass.VICE_PRESIDENT),
-                           class_critical_vector(spec, PlayerClass.REPRESENTATIVE))
+        signs = size_signs(spec.critical_vector(PlayerClass.VICE_PRESIDENT.value),
+                           spec.critical_vector(PlayerClass.REPRESENTATIVE.value))
         for k in signs:
             assert signs[k] == (cv[k] > cr[k]) - (cv[k] < cr[k])
 
@@ -162,8 +163,8 @@ class TestClassPower:
     def test_uniform_index_president_above_senator(self):
         spec = UsSpec()
         w = banzhaf(537)
-        assert evaluate(w, class_critical_vector(spec, PlayerClass.PRESIDENT)) > \
-            evaluate(w, class_critical_vector(spec, PlayerClass.SENATOR))
+        assert evaluate(w, spec.critical_vector(PlayerClass.PRESIDENT.value)) > \
+            evaluate(w, spec.critical_vector(PlayerClass.SENATOR.value))
 
 
 class TestRanking:
@@ -197,8 +198,8 @@ class TestSupermajorityScan:
 
     def test_house_supermajority_reverses_the_chamber_ranking(self):
         spec = UsSpec(house_quota=401, house_override=401)
-        cs = class_critical_vector(spec, PlayerClass.SENATOR)
-        cr = class_critical_vector(spec, PlayerClass.REPRESENTATIVE)
+        cs = spec.critical_vector(PlayerClass.SENATOR.value)
+        cr = spec.critical_vector(PlayerClass.REPRESENTATIVE.value)
         rel = weak_desirability(cr, cs)
         assert rel.kind is Dominance.STRICTLY_ABOVE
         assert cr[503] == binomial(434, 400)
@@ -209,16 +210,16 @@ class TestDegenerateExecutives:
     def test_no_president_reduces_to_override_track_bicameral(self):
         spec = UsSpec(3, 4, 2, 3, 3, 4, has_president=False, has_vp=False)
         two_chambers = MulticamSpec((ChamberSpec("s", 3, 3), ChamberSpec("r", 4, 4)))
-        assert class_critical_vector(spec, PlayerClass.SENATOR) == \
-            member_critical_vector(two_chambers, "s")
-        assert class_critical_vector(spec, PlayerClass.REPRESENTATIVE) == \
-            member_critical_vector(two_chambers, "r")
+        assert spec.critical_vector(PlayerClass.SENATOR.value) == \
+            two_chambers.critical_vector("s")
+        assert spec.critical_vector(PlayerClass.REPRESENTATIVE.value) == \
+            two_chambers.critical_vector("r")
 
     def test_vp_without_president_is_a_null_player(self):
         spec = UsSpec(3, 4, 2, 3, 3, 4, has_president=False, has_vp=True)
-        assert not class_critical_vector(spec, PlayerClass.VICE_PRESIDENT)
+        assert not spec.critical_vector(PlayerClass.VICE_PRESIDENT.value)
 
     def test_vp_without_tie_break_quota_is_null_on_the_signature_track(self):
         # With the senate quota away from the tie point, the VP never matters.
         spec = UsSpec(senate_quota=60)
-        assert not class_critical_vector(spec, PlayerClass.VICE_PRESIDENT)
+        assert not spec.critical_vector(PlayerClass.VICE_PRESIDENT.value)
