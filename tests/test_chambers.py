@@ -157,7 +157,7 @@ class TestCompareMembers:
             compare_members(_bicam(3, 2, 5, 3), "a", "a")
 
     def test_unknown_chamber_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="'c'.*a, b"):
             compare_members(_bicam(3, 2, 5, 3), "a", "c")
 
     def test_certificate_contradiction_raises(self, monkeypatch):
@@ -212,27 +212,9 @@ class TestBicameralSplit:
     def test_certificates_decide_the_paper_split(self, case):
         """The paper's bicameral result, from the certificate conditions alone.
 
-        With majority quotas a chamber of 2a+1 seats has q = a+1 and m-q = a,
-        and one of 2a seats has q = a+1 and m-q = a-1.  The minimal-size test
-        is q_s*m_l > q_l*m_s and the growth test (m_l-q_l)(q_s+1) >
-        (m_s-q_s)(q_l+1), smaller house s, larger house l:
-
-        * both odd (2a+1 < 2b+1): (a+1)(2b+1) > (b+1)(2a+1) and
-          b(a+2) > a(b+2) both reduce to b > a;
-        * both even (2a < 2b): (a+1)2b > (b+1)2a reduces to b > a, and
-          (b-1)(a+2) > (a-1)(b+2) to 3b > 3a;
-        * small even, large odd (2a < 2b+1, so a <= b): (a+1)(2b+1) > (b+1)2a
-          reduces to 2b+1 > a, and b(a+2) > (a-1)(b+2) to 3b+2 > 2a;
-        * small odd, large even (2a+1 < 2b): (a+1)2b > (b+1)(2a+1) reduces
-          to b > 2a+1, that is m_l > 2*m_s.  Wide: the growth test
-          (b-1)(a+2) > a(b+2) reduces to 2b > 3a+2, which b >= 2a+2 gives.
-          Double (b = 2a+1): the minimal sizes tie, and the second-size test
-          reduces to 2(a+2) > 2a+3.  Adjacent and between (m_l < 2*m_s): the
-          larger house's member leads at the minimal size.
-
-        So outside the exceptional case the smaller house's member is ahead
-        at every size, hence under every semivalue; in the double case it ties
-        at the first size and is ahead at every other.
+        The per-case algebra is in the ``legipower.combinat`` docstring: outside
+        the adjacent and between cases the smaller house's member is certified
+        ahead at every size, and in the double case it ties at the first size.
         """
         pairs = [(m_s, m_l) for m_s in range(3, 151) for m_l in range(m_s + 1, 151)
                  if classify_bicameral(m_s, m_l) is case]
@@ -270,6 +252,19 @@ class TestCrossoverSizes:
     def test_requires_ordered_sizes(self):
         with pytest.raises(ValueError):
             crossover_sizes(5, 3, 5, 3)
+
+    def test_one_run_from_the_first_critical_size(self):
+        # The larger member's first critical size is the joint quota.
+        specs = 0
+        for m_s in range(1, 20):
+            for m_l in range(m_s + 1, 21):
+                for q_s in range(1, m_s + 1):
+                    for q_l in range(1, m_l + 1):
+                        cross = sorted(crossover_sizes(m_s, q_s, m_l, q_l))
+                        start = q_s + q_l
+                        assert cross == list(range(start, start + len(cross))), (m_s, q_s, m_l, q_l)
+                        specs += 1
+        assert specs == 20_615
 
     def test_exceptional_case_shapes(self):
         # Odd smaller size, even larger size, at most double: the crossover

@@ -156,3 +156,20 @@ class TestCertification:
                                 assert signs[k] == 0, (m_a, q_a, m_b, q_b, k)
                         flags = [signs[k] > 0 for k in range(k_lo, k_both + 1)]
                         assert flags == sorted(flags), (m_a, q_a, m_b, q_b)
+
+    def test_soundness_at_every_interior_quota(self):
+        # Callers certify at any interior quotas, in either chamber order:
+        # every certificate must agree with direct evaluation of the products.
+        sizes = 0
+        for m_a in range(3, 21):
+            for q_a in range(2, m_a):
+                for m_b in range(3, 21):
+                    for q_b in range(2, m_b):
+                        args = (m_a, q_a, m_b, q_b)
+                        for k, verdict in certify_comparison(*args).items():
+                            sizes += 1
+                            if verdict.outcome is CertOutcome.CERTIFIED_GREATER:
+                                assert product_sign(*args, k) > 0, (args, k)
+                            elif verdict.outcome is CertOutcome.CERTIFIED_EQUAL:
+                                assert product_sign(*args, k) == 0, (args, k)
+        assert sizes == 295_887
