@@ -13,8 +13,10 @@ from its ``axes()`` and ``boxes()``.
 from __future__ import annotations
 
 import decimal
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from decimal import Decimal
+from math import prod
 
 from .combinat import binomial, binomial_row
 
@@ -97,20 +99,49 @@ def _kronecker_convolve(a: list[int], b: list[int]) -> list[int]:
     number, multiply once, and read the convolution off the product's digits.
 
     Every output entry is at most max(a) * max(b) * min(len(a), len(b)),
-    which is below 10^w, so no entry carries into the next.  The rows travel
-    as decimal strings through ``decimal`` (whose multiplication of large
-    operands is a number-theoretic transform), which converts to and from
-    ``int`` without the interpreter's limit on int-string conversion.
+    which is below 10^w, so no entry carries into the next.  The packed rows
+    are multiplied in ``decimal`` (a number-theoretic transform for large
+    operands).  Entries and chunks of w digits convert with ``str`` and
+    ``int`` while w is within the interpreter's limit on int-string
+    conversion; past it they go through ``Decimal``, which has no limit but
+    converts in quadratic time.
     """
     bits = (max(a) * max(b) * min(len(a), len(b))).bit_length()
     w = bits * 30103 // 100000 + 1  # 0.30103 > log10(2), so 10^w > 2^bits
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit or w <= limit:
+        to_str, to_int = str, int
+    else:
+        to_str, to_int = (lambda x: str(Decimal(x))), (lambda s: int(Decimal(s)))
 
     def pack(row: list[int]) -> Decimal:
-        return Decimal("".join(str(Decimal(x)).zfill(w) for x in row))
+        return Decimal("".join(to_str(x).zfill(w) for x in row))
 
     n_out = len(a) + len(b) - 1
     digits = str(_EXACT.multiply(pack(a), pack(b))).zfill(n_out * w)
-    return [int(Decimal(digits[i:i + w])) for i in range(0, n_out * w, w)]
+    return [to_int(digits[i:i + w]) for i in range(0, n_out * w, w)]
+
+
+_Box = tuple[tuple[int, int], ...]
+
+
+def _signed_meets(boxes: Iterable[_Box]) -> dict[_Box, int]:
+    """The union's indicator as a signed sum of the boxes' intersections, each
+    a box, by inclusion-exclusion; equal intersections merge and zero signs drop."""
+    signs: dict[_Box, int] = {}
+    for box in boxes:
+        for other, sign in list(signs.items()):
+            meet = tuple((max(a, c), min(b, d)) for (a, b), (c, d) in zip(box, other))
+            if all(lo <= hi for lo, hi in meet):
+                signs[meet] = signs.get(meet, 0) - sign
+        signs[box] = signs.get(box, 0) + 1
+        signs = {b: s for b, s in signs.items() if s}
+    return signs
+
+
+def _cells(signs: Mapping[_Box, int]) -> int:
+    """Number of lattice cells in the union a signed sum of boxes describes."""
+    return sum(s * prod(hi - lo + 1 for lo, hi in box) for box, s in signs.items())
 
 
 def box_critical_vector(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int, int]]],
@@ -121,27 +152,34 @@ def box_critical_vector(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int
 
     Boxes are clipped to 0..seats.  The union must be monotone along ``axis``
     (one more seat there never loses), so the player is critical exactly where
-    the union's indicator steps up along that axis.  By inclusion-exclusion the
-    indicator is a signed sum of the boxes' intersections, each a box; equal
-    intersections merge and zero signs drop.  Inside one box the step is +1 in
-    the slice a_axis = lo and -1 in the slice a_axis = hi + 1; a slice at a
-    seats, empty unless 1 <= a <= m, counts C(m-1, a-1) times the convolution
-    of the other axes' binomial rows, each cut to the box's range on its axis.
-    That core stays a scalar: as a slice of the row of m-1 it would build the
-    whole row (see ``test_one_large_chamber_at_the_bound_runs_in_bounded_memory``).
+    the union's indicator steps up along that axis.  It is monotone there
+    exactly when it has as many cells as the union of the boxes' up-closures
+    along ``axis`` (each box's hi there raised to the axis's seats), which
+    contains it; otherwise a ``ValueError`` names the first box whose
+    up-closure leaves the union.  By inclusion-exclusion the indicator is a
+    signed sum of the boxes' intersections, each a box.  Inside one box the
+    step is +1 in the slice a_axis = lo and -1 in the slice a_axis = hi + 1;
+    a slice at a seats, empty unless 1 <= a <= m, counts C(m-1, a-1) times
+    the convolution of the other axes' binomial rows, each cut to the box's
+    range on its axis.  That core stays a scalar: as a slice of the row of
+    m-1 it would build the whole row (see
+    ``test_one_large_chamber_at_the_bound_runs_in_bounded_memory``).
     """
-    signs: dict[tuple[tuple[int, int], ...], int] = {}
-    for box in boxes:
-        box = tuple((max(lo, 0), min(hi, m)) for (lo, hi), m in zip(box, seats))
-        if any(lo > hi for lo, hi in box):
-            continue
-        for other, sign in list(signs.items()):
-            meet = tuple((max(a, c), min(b, d)) for (a, b), (c, d) in zip(box, other))
-            if all(lo <= hi for lo, hi in meet):
-                signs[meet] = signs.get(meet, 0) - sign
-        signs[box] = signs.get(box, 0) + 1
-        signs = {b: s for b, s in signs.items() if s}
-    m, counts = seats[axis], {}
+    clipped = [tuple((max(lo, 0), min(hi, m)) for (lo, hi), m in zip(box, seats))
+               for box in boxes]
+    clipped = [box for box in clipped if all(lo <= hi for lo, hi in box)]
+    m = seats[axis]
+
+    def up(box: _Box) -> _Box:
+        return box[:axis] + ((box[axis][0], m),) + box[axis + 1:]
+
+    signs = _signed_meets(clipped)
+    cells = _cells(signs)
+    if _cells(_signed_meets(map(up, clipped))) != cells:
+        first = next(b for b in clipped if _cells(_signed_meets([*clipped, up(b)])) != cells)
+        raise ValueError(f"the boxes' union is not monotone along axis {axis}: box {first}, "
+                         f"raised to its {m} seats there, leaves the union")
+    counts = {}
     for box, sign in signs.items():
         lo, hi = box[axis]
         slices = [(a, s * binomial(m - 1, a - 1)) for a, s in ((lo, sign), (hi + 1, -sign))
@@ -167,7 +205,7 @@ class SeatGame:
     ``boxes()`` gives the winning seat counts as a union of boxes, one
     (lo, hi) range per axis; the union must be monotone along every axis (one
     more seat on any axis never turns a win into a loss), as
-    ``box_critical_vector`` requires.
+    ``box_critical_vector`` requires; it checks the axis of the class asked for.
     """
 
     @property

@@ -4,71 +4,102 @@ An index assigns each player the weighted sum of their critical numbers,
 with one nonnegative rational weight per coalition size, normalised so that
 sum(weight[k] * C(n-1, k-1)) == 1.  All arithmetic is exact; ranking
 conclusions are order-sensitive, so no tolerance is ever applied.
+
+A ``WeightingVector`` holds its weights as integer numerators over one
+positive denominator, in lowest terms, so the normalisation check and every
+index value are one integer dot product and one ``Fraction``.  Shapley-Shubik
+needs no large common denominator: since n*C(n-1, k-1) = k*C(n, k) and
+lcm_k C(n, k) = lcm(1..n+1)/(n+1) (Farhi, Amer. Math. Monthly 116, 2009),
+its weights 1/(n*C(n-1, k-1)) share the denominator lcm(1..n).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import groupby
 
 from .combinat import binomial, binomial_row
 from .counting import CountVector
 
 
-def _weighted_sum(terms: Iterable[tuple[Fraction, int]]) -> Fraction:
-    """sum(w * v) over (weight, count) pairs, exactly.
-
-    Numerators are added as integers across each run of equal denominators,
-    so a run costs one ``Fraction``: a uniform vector costs one in all.
-    """
-    total = Fraction(0)
-    for den, run in groupby(terms, key=lambda t: t[0].denominator):
-        total += Fraction(sum(w.numerator * v for w, v in run), den)
-    return total
-
-
 @dataclass(frozen=True)
 class WeightingVector:
-    """Per-size weights (index k-1 holds the weight for coalition size k)."""
+    """Per-size weights numerators[k-1] / denominator for coalition size k.
 
-    weights: tuple[Fraction, ...]
+    The constructor brings the weights to lowest terms, so two vectors are
+    equal exactly when their weights are.
+
+    >>> WeightingVector((2, 1, 2), 6).weights
+    (Fraction(1, 3), Fraction(1, 6), Fraction(1, 3))
+    """
+
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
-        if not self.weights:
+        nums, den = tuple(self.numerators), self.denominator
+        if not nums:
             raise ValueError("a weighting vector needs at least one entry")
-        if any(w < 0 for w in self.weights):
+        if den <= 0:
+            raise ValueError(f"the denominator must be positive, got {den}")
+        if any(x < 0 for x in nums):
             raise ValueError("weights must be nonnegative")
-        total = _weighted_sum(zip(self.weights, binomial_row(len(self.weights) - 1)))
-        if total != 1:
-            raise ValueError(f"weights do not normalise: sum is {total}, expected 1")
+        # Smallest first: the common factor shrinks fastest that way, and
+        # ``math.gcd`` skips the rest once it reaches 1.
+        common = math.gcd(den, *sorted(nums, key=int.bit_length))
+        if common > 1:
+            nums, den = tuple(x // common for x in nums), den // common
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", den)
+        total = sum(x * c for x, c in zip(nums, binomial_row(len(nums) - 1)) if x)
+        if total != den:
+            raise ValueError(
+                f"weights do not normalise: sum is {Fraction(total, den)}, expected 1")
+
+    @classmethod
+    def from_fractions(cls, weights: Iterable) -> WeightingVector:
+        """The vector of exact rationals ``weights``, over the lcm of their denominators."""
+        fractions = [Fraction(w) for w in weights]
+        den = math.lcm(*(w.denominator for w in fractions))
+        return cls(tuple(w.numerator * (den // w.denominator) for w in fractions), den)
 
     @property
     def n(self) -> int:
-        return len(self.weights)
+        return len(self.numerators)
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denominator) for x in self.numerators)
 
     def weight(self, size: int) -> Fraction:
         if not 1 <= size <= self.n:
             raise ValueError(f"size must be in [1, {self.n}], got {size}")
-        return self.weights[size - 1]
+        return Fraction(self.numerators[size - 1], self.denominator)
 
 
 def banzhaf(n: int) -> WeightingVector:
     """Uniform weights 1 / 2^(n-1)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    w = Fraction(1, 2 ** (n - 1))
-    return WeightingVector((w,) * n)
+    return WeightingVector((1,) * n, 2 ** (n - 1))
 
 
 def shapley_shubik(n: int) -> WeightingVector:
-    """Weights 1 / (n * C(n-1, k-1)); the values of a game sum to 1."""
+    """Weights 1 / (n * C(n-1, k-1)); the values of a game sum to 1.
+
+    Over L = lcm(1..n) the numerator at size 1 is L/n, and each next one
+    follows by the exact small-integer step of C(n-1, k-1) / C(n-1, k) = k/(n-k).
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return WeightingVector(tuple(Fraction(1, n * c) for c in binomial_row(n - 1)))
+    den = math.lcm(*range(1, n + 1))
+    nums = [den // n]
+    for k in range(1, n):
+        nums.append(nums[-1] * k // (n - k))
+    return WeightingVector(tuple(nums), den)
 
 
 def point_mass(n: int, size: int) -> WeightingVector:
@@ -77,9 +108,9 @@ def point_mass(n: int, size: int) -> WeightingVector:
         raise ValueError(f"need n >= 1, got {n}")
     if not 1 <= size <= n:
         raise ValueError(f"size must be in [1, {n}], got {size}")
-    weights = [Fraction(0)] * n
-    weights[size - 1] = Fraction(1, binomial(n - 1, size - 1))
-    return WeightingVector(tuple(weights))
+    nums = [0] * n
+    nums[size - 1] = 1
+    return WeightingVector(tuple(nums), binomial(n - 1, size - 1))
 
 
 def evaluate(w: WeightingVector, cv: CountVector) -> Fraction:
@@ -89,7 +120,7 @@ def evaluate(w: WeightingVector, cv: CountVector) -> Fraction:
         raise ValueError(
             f"critical vector support [{lo}, {hi}] exceeds the index's player count {w.n}"
         )
-    return _weighted_sum((w.weights[k - 1], v) for k, v in cv.items())
+    return Fraction(sum(w.numerators[k - 1] * v for k, v in cv.items()), w.denominator)
 
 
 def competition_ranks(values: dict) -> list[tuple[int, object, Fraction]]:

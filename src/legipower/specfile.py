@@ -225,6 +225,6 @@ def load_weight_file(path: str | Path, n: int) -> WeightingVector:
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecFileError(f"{path}: line {i + 1}: not an exact rational: {entry!r}") from exc
     try:
-        return WeightingVector(tuple(weights))
+        return WeightingVector.from_fractions(weights)
     except ValueError as exc:
         raise SpecFileError(f"{path}: {exc}") from exc

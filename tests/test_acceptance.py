@@ -318,7 +318,7 @@ def test_criterion_10_semivalue_sanity():
     for n in (1, 2, 3, 11, 40, 537):
         for w in (banzhaf(n), shapley_shubik(n)):
             assert sum(w.weight(k) * binomial(n - 1, k - 1) for k in range(1, n + 1)) == 1
-    manual = WeightingVector((Fraction(1, 2), Fraction(1, 8), Fraction(1, 4)))
+    manual = WeightingVector.from_fractions((Fraction(1, 2), Fraction(1, 8), Fraction(1, 4)))
     assert sum(manual.weight(k) * binomial(2, k - 1) for k in (1, 2, 3)) == 1
 
     games = [from_spec(spec) for spec in MINI_US_SPECS if spec.total_players <= 12]

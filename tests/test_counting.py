@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -191,6 +192,18 @@ class TestConvolve:
             with pytest.raises(ValueError):
                 str(max(out))
 
+    @pytest.mark.parametrize("row_len, below", [(7000, True), (7300, False)])
+    def test_either_side_of_the_int_string_digit_limit(self, default_digit_limit,
+                                                      row_len, below):
+        # Chunks of w digits are within the default 4300-digit limit at
+        # C(7000, k) near the middle and past it at C(7300, k).
+        row, length = binomial_row(row_len), self.CUT + 1
+        mid = row_len // 2 - length
+        a, b = row[mid:mid + length], row[mid + 10:mid + 10 + length]
+        w = (max(a) * max(b) * length).bit_length() * 30103 // 100000 + 1
+        assert (w < 4300) == below
+        assert _convolve(a, b) == plain_convolve(a, b)
+
 
 class TestBoxCriticalVector:
     def test_one_orthant_is_the_quota_formula(self):
@@ -231,6 +244,19 @@ class TestBoxCriticalVector:
         assert not box_critical_vector(seats, [empty], 0)
         assert box_critical_vector(seats, [empty, orthant], 0) == \
             box_critical_vector(seats, [orthant], 0)
+
+    def test_union_not_monotone_on_the_axis_is_refused(self):
+        # The range on axis 1 stops at 3 of its 4 seats, so one more seat there
+        # can lose; on axis 0 the range reaches the top and the union is monotone.
+        seats, box = [3, 4, 2], ((1, 3), (1, 3), (0, 1))
+        with pytest.raises(ValueError, match=r"axis 1: box \(\(1, 3\), \(1, 3\), \(0, 1\)\)"):
+            box_critical_vector(seats, [box], 1)
+        assert box_critical_vector(seats, [box], 0) == box_union_critical_counts(seats, [box], 0)
+
+    def test_first_box_leaving_the_union_is_named(self):
+        seats, whole, capped = [3, 4], ((2, 3), (2, 4)), ((1, 1), (0, 4))
+        with pytest.raises(ValueError, match=r"box \(\(1, 1\), \(0, 4\)\)"):
+            box_critical_vector(seats, [whole, capped], 0)
 
     def test_own_axis_from_zero_is_a_null_player(self):
         # Every coalition in the box passes without the player as well.
@@ -279,6 +305,24 @@ def _capped_chains(draw):
     return seats, draw(st.permutations(boxes)), axis
 
 
+@st.composite
+def _any_unions(draw):
+    """1 to 4 boxes of any ranges, monotone on the player's axis or not."""
+    seats = draw(_seats)
+    axis = draw(st.integers(0, len(seats) - 1))
+    boxes = [tuple(_span(draw, m) for m in seats) for _ in range(draw(st.integers(1, 4)))]
+    return seats, boxes, axis
+
+
+def _monotone_along(seats, boxes, axis):
+    """Whether one more seat on ``axis`` never turns a winning cell into a losing one."""
+    def wins(cell):
+        return any(all(lo <= a <= hi for a, (lo, hi) in zip(cell, box)) for box in boxes)
+    return all(not wins(cell) or wins(cell[:axis] + (cell[axis] + 1,) + cell[axis + 1:])
+               for cell in itertools.product(*(range(m + 1) for m in seats))
+               if cell[axis] < seats[axis])
+
+
 class TestBoxUnionProperties:
     @settings(max_examples=60, deadline=None)
     @given(case=_open_unions())
@@ -286,6 +330,17 @@ class TestBoxUnionProperties:
         seats, boxes, axis = case
         assert box_critical_vector(seats, boxes, axis) == \
             box_union_critical_counts(seats, boxes, axis)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_any_unions())
+    def test_refused_exactly_when_not_monotone_on_the_axis(self, case):
+        seats, boxes, axis = case
+        if _monotone_along(seats, boxes, axis):
+            assert box_critical_vector(seats, boxes, axis) == \
+                box_union_critical_counts(seats, boxes, axis)
+        else:
+            with pytest.raises(ValueError, match="not monotone"):
+                box_critical_vector(seats, boxes, axis)
 
     @settings(max_examples=100, deadline=None)
     @given(case=_capped_chains())

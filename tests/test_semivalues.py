@@ -19,6 +19,7 @@ from legipower import (
     shapley_shubik,
     weak_desirability,
 )
+from legipower.cli import _resolve_index
 from legipower.semivalues import competition_ranks
 from bitmask import critical_vector, from_spec
 
@@ -49,11 +50,11 @@ class TestConstructors:
 
     def test_normalisation_enforced(self):
         with pytest.raises(ValueError):
-            WeightingVector((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
+            WeightingVector.from_fractions((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            WeightingVector((Fraction(3, 2), Fraction(0), Fraction(-1, 4)))
+            WeightingVector.from_fractions((Fraction(3, 2), Fraction(0), Fraction(-1, 4)))
 
     def test_point_mass_bounds(self):
         with pytest.raises(ValueError):
@@ -68,13 +69,82 @@ class TestConstructors:
         weights = [Fraction(1, 2 ** (n - 1))] * n
         weights[size - 1] += sign * Fraction(1, 2 ** (n - 1)) ** 2
         with pytest.raises(ValueError, match="do not normalise"):
-            WeightingVector(tuple(weights))
+            WeightingVector.from_fractions(weights)
 
     def test_normalisation_identity_holds_for_constructors(self):
         for n in (1, 2, 3, 7, 12, 40):
             for w in (banzhaf(n), shapley_shubik(n), point_mass(n, (n + 1) // 2)):
                 total = sum(w.weight(k) * binomial(n - 1, k - 1) for k in range(1, n + 1))
                 assert total == 1
+
+
+_SPECS = [
+    MulticamSpec((ChamberSpec("a", 7, 4),)),
+    MulticamSpec((ChamberSpec("a", 5, 3), ChamberSpec("b", 8, 5))),
+    MulticamSpec((ChamberSpec("a", 3, 2), ChamberSpec("b", 6, 4), ChamberSpec("c", 9, 5))),
+    MulticamSpec((ChamberSpec("a", 2, 2), ChamberSpec("b", 3, 2), ChamberSpec("c", 5, 3),
+                  ChamberSpec("d", 7, 4))),
+    UsSpec(5, 11, 3, 6, 4, 8),
+    UsSpec(9, 21, 5, 11, 6, 14, True, False),
+    UsSpec(13, 45, 7, 23, 9, 30),
+]
+
+
+def _fraction_weights(selector: str, n: int, file_weights: list[Fraction]) -> list[Fraction]:
+    """The index's weights at sizes 1..n, each written as its own ``Fraction``."""
+    if selector == "banzhaf":
+        return [Fraction(1, 2 ** (n - 1))] * n
+    if selector == "shapley":
+        return [Fraction(1, n * binomial(n - 1, k - 1)) for k in range(1, n + 1)]
+    if selector.startswith("pointmass:"):
+        size = int(selector.split(":")[1])
+        return [Fraction(1, binomial(n - 1, k - 1)) if k == size else Fraction(0)
+                for k in range(1, n + 1)]
+    return file_weights
+
+
+class TestIntegerForm:
+    """Weights held as integer numerators over one denominator."""
+
+    @pytest.mark.parametrize("spec", _SPECS, ids=lambda s: f"{type(s).__name__}-{s.total_players}")
+    def test_every_selector_equals_its_fraction_form(self, spec, tmp_path):
+        n = spec.total_players
+        raw = [Fraction(1 + k % 3, 1 + k % 4) for k in range(n)]
+        total = sum(r * binomial(n - 1, k) for k, r in enumerate(raw))
+        file_weights = [r / total for r in raw]
+        path = tmp_path / "w.txt"
+        path.write_text("".join(f"{w}\n" for w in file_weights))
+        vectors = [spec.critical_vector(c) for c in spec.class_ids()]
+        for selector in ("banzhaf", "shapley", f"pointmass:{(n + 1) // 2}", f"file:{path}"):
+            w = _resolve_index(selector, n)[1]
+            expected = _fraction_weights(selector, n, file_weights)
+            assert [w.weight(k) for k in range(1, n + 1)] == expected, selector
+            for cv in vectors:
+                plain = sum((expected[k - 1] * v for k, v in cv.items()), Fraction(0))
+                assert evaluate(w, cv) == plain, selector
+
+    def test_shapley_denominator_is_the_lcm_in_lowest_terms(self):
+        for n in range(1, 201):
+            w = shapley_shubik(n)
+            assert w.denominator == math.lcm(*range(1, n + 1))
+            assert math.gcd(w.denominator, *w.numerators) == 1, n
+
+    def test_constructor_reduces_so_equal_weights_are_equal_vectors(self):
+        assert WeightingVector((2, 2, 2), 8) == banzhaf(3)
+        assert WeightingVector((2, 2, 2), 8).denominator == 4
+        assert WeightingVector.from_fractions(shapley_shubik(9).weights) == shapley_shubik(9)
+        assert WeightingVector.from_fractions([1]) == banzhaf(1)
+
+    def test_denominator_must_be_positive(self):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            WeightingVector((1,), 0)
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            WeightingVector((-1,), -1)
+
+    def test_unnormalised_sum_is_reported_in_lowest_terms(self):
+        message = r"^weights do not normalise: sum is 3/2, expected 1$"
+        with pytest.raises(ValueError, match=message):
+            WeightingVector.from_fractions((Fraction(1, 2), Fraction(1, 4), Fraction(1, 2)))
 
 
 @st.composite
@@ -86,7 +156,7 @@ def _weights_and_counts(draw):
         min_size=n, max_size=n,
     ).filter(any))
     total = sum(r * math.comb(n - 1, k) for k, r in enumerate(raw))
-    weights = WeightingVector(tuple(r / total for r in raw))
+    weights = WeightingVector.from_fractions(r / total for r in raw)
     sizes = draw(st.lists(st.integers(1, n), unique=True))
     counts = CountVector({k: draw(st.integers(0, 10 ** 40)) for k in sizes})
     return weights, counts

@@ -1,3 +1,4 @@
+import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -98,6 +99,25 @@ _weight_lines = st.one_of(
 )
 
 
+@st.composite
+def _normalised_weights(draw):
+    """Weights that normalise at a random length, with their file lines for a
+    scale factor, each line a reduced or an unreduced fraction."""
+    n = draw(st.integers(1, 8))
+    raw = draw(st.lists(
+        st.builds(Fraction, st.integers(0, 5), st.sampled_from([1, 2, 3, 5, 8, 10])),
+        min_size=n, max_size=n,
+    ).filter(any))
+    total = sum(r * math.comb(n - 1, k) for k, r in enumerate(raw))
+    weights = [r / total for r in raw]
+    factors = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+
+    def text(scale):
+        return [f" {f * x.numerator}/{f * x.denominator} "
+                for x, f in zip((w * scale for w in weights), factors)]
+    return weights, text
+
+
 def _load_weights(data: bytes, n: int):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "w.txt"
@@ -123,6 +143,20 @@ class TestWeightFileFuzz:
         except SpecFileError:
             return
         assert isinstance(w, WeightingVector) and w.n == n
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_normalised_weights(),
+           scale=st.fractions(0, 3, max_denominator=7).filter(lambda s: s != 1))
+    def test_written_weights_load_back_and_scaled_ones_are_rejected(self, case, scale):
+        weights, text = case
+        n = len(weights)
+        w = _load_weights("".join(f"{line}\n" for line in text(1)).encode(), n)
+        assert w.weights == tuple(weights)
+        assert w == WeightingVector.from_fractions(weights)
+        # The sum of a refused file is printed as a reduced fraction.
+        with pytest.raises(SpecFileError) as info:
+            _load_weights("".join(f"{line}\n" for line in text(scale)).encode(), n)
+        assert str(info.value).endswith(f": weights do not normalise: sum is {scale}, expected 1")
 
     def test_valid_file_loads(self):
         w = _load_weights(b"1/4\n0.25\n\n 25e-2 \n", 3)
