@@ -4,10 +4,18 @@ Members of one axis (a chamber, or a one-seat executive) are interchangeable,
 so a coalition is counted by its seats on each axis.  ``box_critical_vector``
 counts a player's critical coalitions, per coalition size, as a signed sum
 over the boxes' intersections.  Each term is one binomial on the player's own
-axis times the convolution of the other axes' binomial rows, each cut to the
-term's range on its axis, so every count is an exact integer.  ``SeatGame``,
-the base of both spec types, derives a spec's classes and critical vectors
-from its ``axes()`` and ``boxes()``.
+axis times the product of the other axes' binomial row slices
+S(t) = sum_{lo<=x<=hi} C(m, x) t^x, so every count is an exact integer.
+
+A slice satisfies (1+t) S' - m S = lo C(m, lo) t^(lo-1) - (m-hi) C(m, hi) t^hi,
+so the product of two slices has a first-order recurrence whose every step
+is a small-integer multiply and an exact division (``_slice_product``); the
+two longest slices of a term are multiplied that way.  Any further slice is
+convolved in by ``_convolve``: entry by entry when a row is short, and by
+Kronecker substitution when both are longer than ``KRONECKER_MIN_LEN``, so
+only for a term with three or more other slices that long.  ``SeatGame``, the
+base of both spec types, derives a spec's classes and critical vectors from
+its ``axes()`` and ``boxes()``.
 """
 
 from __future__ import annotations
@@ -122,6 +130,47 @@ def _kronecker_convolve(a: list[int], b: list[int]) -> list[int]:
     return [to_int(digits[i:i + w]) for i in range(0, n_out * w, w)]
 
 
+def _slice_product(m1: int, lo1: int, a: list[int], m2: int, lo2: int, b: list[int]
+                   ) -> list[int]:
+    """Coefficients lo1+lo2 .. hi1+hi2 of S1 * S2, where ``a`` = [C(m1, lo1),
+    ..., C(m1, hi1)] and ``b`` = [C(m2, lo2), ..., C(m2, hi2)] are non-empty
+    slices of binomial rows.
+
+    Each slice S_i(t) = sum_{lo_i<=x<=hi_i} C(m_i, x) t^x satisfies
+    (1+t) S_i' - m_i S_i = R_i with R_i = lo_i C(m_i, lo_i) t^(lo_i-1)
+    - (m_i-hi_i) C(m_i, hi_i) t^hi_i, so P = S1 * S2 satisfies
+    (1+t) P' - (m1+m2) P = R1 S2 + R2 S1, and coefficient by coefficient
+
+        (j+1) P[j+1] = (m1+m2-j) P[j] + [R1 S2]_j + [R2 S1]_j
+
+    from P[lo1+lo2] = C(m1, lo1) C(m2, lo2).  The right-hand terms are a few
+    products of a row entry with a constant, and the division is exact: a
+    remainder, or a last coefficient other than C(m1, hi1) C(m2, hi2), means
+    the slices were not binomial, and raises ``ArithmeticError``.
+
+    >>> _slice_product(3, 1, [3, 3], 2, 0, [1, 2, 1])
+    [3, 9, 9, 3]
+    """
+    hi1, hi2 = lo1 + len(a) - 1, lo2 + len(b) - 1
+    # rhs[i] = [R1 S2 + R2 S1] at t^(lo1+lo2+i), built one shifted row at a time.
+    rhs = [0] * (len(a) + len(b) - 1)
+    for c, row, start in ((lo1 * a[0], b[1:], 0), (-(m1 - hi1) * a[-1], b, len(a) - 1),
+                          (lo2 * b[0], a[1:], 0), (-(m2 - hi2) * b[-1], a, len(b) - 1)):
+        if c:
+            end = start + len(row)
+            rhs[start:end] = [x + c * y for x, y in zip(rhs[start:end], row)]
+    p = a[0] * b[0]
+    out = [p]
+    for j, r in zip(range(lo1 + lo2, hi1 + hi2), rhs):
+        p, rem = divmod((m1 + m2 - j) * p + r, j + 1)
+        if rem:
+            raise ArithmeticError(f"slice product step {j + 1} is not exact")
+        out.append(p)
+    if p != a[-1] * b[-1]:
+        raise ArithmeticError(f"slice product ends at {p}, not C({m1}, {hi1}) C({m2}, {hi2})")
+    return out
+
+
 _Box = tuple[tuple[int, int], ...]
 
 
@@ -158,12 +207,20 @@ def box_critical_vector(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int
     contains it; otherwise a ``ValueError`` names the first box whose
     up-closure leaves the union.  By inclusion-exclusion the indicator is a
     signed sum of the boxes' intersections, each a box.  Inside one box the
-    step is +1 in the slice a_axis = lo and -1 in the slice a_axis = hi + 1;
-    a slice at a seats, empty unless 1 <= a <= m, counts C(m-1, a-1) times
-    the convolution of the other axes' binomial rows, each cut to the box's
-    range on its axis.  That core stays a scalar: as a slice of the row of
-    m-1 it would build the whole row (see
+    step is +1 in the layer a_axis = lo and -1 in the layer a_axis = hi + 1;
+    a layer at a seats, empty unless 1 <= a <= m, counts C(m-1, a-1) times
+    the product of the other axes' binomial row slices
+    S_i(t) = sum_{lo_i<=x<=hi_i} C(m_i, x) t^x, each cut to the box's range
+    on its axis.  That core stays a scalar: as a slice of the row of m-1 it
+    would build the whole row (see
     ``test_one_large_chamber_at_the_bound_runs_in_bounded_memory``).
+
+    Since (1+t) S_i' - m_i S_i = lo_i C(m_i, lo_i) t^(lo_i-1)
+    - (m_i-hi_i) C(m_i, hi_i) t^hi_i, the two longest slices are multiplied
+    by their exact first-order recurrence (``_slice_product``).  Each further
+    slice is convolved in by ``_convolve``, which uses Kronecker substitution
+    only when both rows are longer than ``KRONECKER_MIN_LEN``: a box needs
+    three other axes that long, four large chambers in all.
     """
     clipped = [tuple((max(lo, 0), min(hi, m)) for (lo, hi), m in zip(box, seats))
                for box in boxes]
@@ -182,16 +239,21 @@ def box_critical_vector(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int
     counts = {}
     for box, sign in signs.items():
         lo, hi = box[axis]
-        slices = [(a, s * binomial(m - 1, a - 1)) for a, s in ((lo, sign), (hi + 1, -sign))
+        layers = [(a, s * binomial(m - 1, a - 1)) for a, s in ((lo, sign), (hi + 1, -sign))
                   if 0 < a <= m]
-        if not slices:
+        if not layers:
             continue
-        offset, rest = 0, [1]
-        for i, (lo_i, hi_i) in enumerate(box):
-            if i != axis:
-                offset += lo_i
-                rest = _convolve(rest, binomial_row(seats[i])[lo_i:hi_i + 1])
-        for a, core in slices:
+        others = sorted(((seats[i], lo_i, binomial_row(seats[i])[lo_i:hi_i + 1])
+                         for i, (lo_i, hi_i) in enumerate(box) if i != axis),
+                        key=lambda other: len(other[2]), reverse=True)
+        offset = sum(lo_i for _, lo_i, _ in others)
+        if len(others) >= 2:
+            rest = _slice_product(*others[0], *others[1])
+        else:
+            rest = others[0][2] if others else [1]
+        for _, _, row in others[2:]:
+            rest = _convolve(rest, row)
+        for a, core in layers:
             for k, v in enumerate(rest, offset + a):
                 counts[k] = counts.get(k, 0) + core * v
     # Summed first: single products may be negative, their sums are not.

@@ -15,6 +15,7 @@ its weights 1/(n*C(n-1, k-1)) share the denominator lcm(1..n).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -87,6 +88,26 @@ def banzhaf(n: int) -> WeightingVector:
     return WeightingVector((1,) * n, 2 ** (n - 1))
 
 
+def _lcm_upto(n: int) -> int:
+    """lcm(1..n), as the product over primes p <= n of the largest power of p
+    that is <= n; the primes come from a sieve of n + 1 bytes.
+
+    >>> _lcm_upto(10)
+    2520
+    """
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    lcm = 1
+    for p in itertools.compress(range(n + 1), sieve):
+        power = p
+        while power * p <= n:
+            power *= p
+        lcm *= power
+    return lcm
+
+
 def shapley_shubik(n: int) -> WeightingVector:
     """Weights 1 / (n * C(n-1, k-1)); the values of a game sum to 1.
 
@@ -95,7 +116,7 @@ def shapley_shubik(n: int) -> WeightingVector:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    den = math.lcm(*range(1, n + 1))
+    den = _lcm_upto(n)
     nums = [den // n]
     for k in range(1, n):
         nums.append(nums[-1] * k // (n - k))

@@ -521,6 +521,23 @@ class TestFailureExits:
         assert (code, out) == (4, "")
         assert err == "error: internal: RuntimeError: table went missing\n"
 
+    def test_inexact_slice_product_is_an_internal_error(self, capsys, monkeypatch,
+                                                        write_spec):
+        from legipower import combinat, counting
+
+        def off_by_one(n):
+            row = combinat.binomial_row(n)
+            row[n - 1] += 1
+            return row
+
+        monkeypatch.setattr(counting, "binomial_row", off_by_one)
+        path = write_spec({"chambers": [{"name": name, "size": 5, "quota": 3}
+                                        for name in ("a", "b", "c")]})
+        code, out, err = _run(capsys, "analyze", path)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: internal: ArithmeticError: slice product ")
+        assert err.count("\n") == 1
+
     def test_interrupt_is_not_caught(self, monkeypatch):
         from legipower import cli
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from legipower import CountVector, binomial, binomial_row
-from legipower.counting import KRONECKER_MIN_LEN, _convolve, box_critical_vector
+from legipower.counting import (
+    KRONECKER_MIN_LEN, _convolve, _slice_product, box_critical_vector)
 from helpers import box_union_critical_counts, plain_convolve
 
 
@@ -203,6 +204,52 @@ class TestConvolve:
         w = (max(a) * max(b) * length).bit_length() * 30103 // 100000 + 1
         assert (w < 4300) == below
         assert _convolve(a, b) == plain_convolve(a, b)
+
+
+def _row_slice(m, lo, hi):
+    """(m, lo, [C(m, lo), ..., C(m, hi)]): the arguments of one slice."""
+    return m, lo, binomial_row(m)[lo:hi + 1]
+
+
+@st.composite
+def _row_slices(draw, max_seats):
+    m = draw(st.integers(0, max_seats))
+    lo = draw(st.integers(0, m))
+    return _row_slice(m, lo, draw(st.integers(lo, m)))
+
+
+class TestSliceProduct:
+    def test_every_pair_of_slices_up_to_six_seats(self):
+        slices = [_row_slice(m, lo, hi) for m in range(7)
+                  for lo in range(m + 1) for hi in range(lo, m + 1)]
+        assert len(slices) ** 2 == 7056
+        for first, second in itertools.product(slices, repeat=2):
+            assert _slice_product(*first, *second) == plain_convolve(first[2], second[2]), \
+                (first, second)
+
+    @settings(max_examples=40, deadline=None)
+    @given(first=_row_slices(400), second=_row_slices(400))
+    @example(first=_row_slice(300, 151, 300), second=_row_slice(299, 150, 299))
+    @example(first=_row_slice(400, 0, 400), second=_row_slice(1, 1, 1))
+    def test_slices_of_hundreds_of_seats(self, first, second):
+        assert _slice_product(*first, *second) == _convolve(first[2], second[2])
+
+    def test_past_the_int_string_digit_limit(self, default_digit_limit):
+        # C(15001, k) near the middle has about 4514 digits; the recurrence
+        # converts no integer to a string.
+        first, second = _row_slice(15001, 7450, 7549), _row_slice(15001, 7000, 7099)
+        out = _slice_product(*first, *second)
+        assert out == plain_convolve(first[2], second[2])
+        assert max(out) > 10 ** 9000
+
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_slice_that_is_not_binomial_raises(self, entry):
+        # One entry off by one makes some step's division inexact, or the
+        # last coefficient wrong.
+        m, lo, row = _row_slice(12, 3, 9)
+        row[entry] += 1
+        with pytest.raises(ArithmeticError, match="slice product"):
+            _slice_product(m, lo, row, *_row_slice(10, 2, 8))
 
 
 class TestBoxCriticalVector:

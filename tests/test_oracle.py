@@ -382,10 +382,14 @@ class TestLattice:
     @pytest.mark.parametrize("sizes, quotas", [
         ((100, 100, 1), (1, 1, 1)),
         ((120, 110, 3), (20, 30, 2)),
-    ], ids=["100x100", "101x81"])
+        ((60, 55, 50, 1), (1, 1, 1, 1)),
+    ], ids=["100x100", "101x81", "60x55x50"])
     def test_member_vector_on_the_kronecker_path(self, sizes, quotas):
-        # The last chamber's member convolves two slices longer than
-        # KRONECKER_MIN_LEN: 100 x 100 and 101 x 81 entries.
+        # The last chamber's member multiplies slices longer than
+        # KRONECKER_MIN_LEN.  Two of them (100 x 100 and 101 x 81 entries)
+        # take the slice recurrence; of three (60, 55 and 50 entries), the two
+        # longest take the recurrence and the third is convolved into their
+        # product by Kronecker substitution.
         spec = MulticamSpec(tuple(
             ChamberSpec(f"c{i}", m, q) for i, (m, q) in enumerate(zip(sizes, quotas))))
         _assert_lattice_matches_the_closed_forms(spec)
