@@ -11,10 +11,10 @@ route where it applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
 
-from .combinat import CertOutcome, certify_comparison
+from .combinat import CertOutcome, FrozenValue, certify_comparison
 from .counting import CountVector, SeatGame
 from .semivalues import Relation, size_signs, weak_desirability
 
@@ -26,15 +26,13 @@ def majority_quota(size: int) -> int:
     return (size + 2) // 2
 
 
-@dataclass(frozen=True)
-class ChamberSpec:
+class ChamberSpec(FrozenValue):
     """One chamber: a name, its member count, and its passage quota."""
 
-    name: str
-    size: int
-    quota: int
+    __slots__ = ("name", "size", "quota")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, size: int, quota: int) -> None:
+        super().__init__(name, size, quota)
         if not self.name:
             raise ValueError("chamber name must be nonempty")
         if self.size < 1:
@@ -50,14 +48,13 @@ class ChamberSpec:
         return cls(name, size, majority_quota(size))
 
 
-@dataclass(frozen=True)
 class MulticamSpec(SeatGame):
     """A legislature of one or more chambers; passage needs every quota met."""
 
-    chambers: tuple[ChamberSpec, ...]
+    __slots__ = ("chambers",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chambers", tuple(self.chambers))
+    def __init__(self, chambers: Iterable[ChamberSpec]) -> None:
+        super().__init__(tuple(chambers))
         if not self.chambers:
             raise ValueError("a legislature needs at least one chamber")
         names = [c.name for c in self.chambers]

@@ -33,8 +33,58 @@ checks each case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+
+
+class FrozenValue:
+    """An immutable value whose fields are its class's ``__slots__``, in order.
+
+    Instances of one class are equal, and hash alike, when their fields are;
+    an instance of another class is never equal.  They print as
+    ``Name(field=value, ...)`` and refuse assignment with ``AttributeError``.
+    ``replace(**changes)`` builds a copy through the class's constructor, so
+    its checks run again; pickling and ``copy`` rebuild through it too.  The
+    base constructor takes every field, positionally.  Only the classes that
+    are instantiated name fields; a class between them and this base, such as
+    ``counting.SeatGame``, declares ``__slots__ = ()``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def replace(self, **changes: object):
+        """A copy with the named fields changed."""
+        new = type(self)(*(changes.pop(name, getattr(self, name)) for name in self.__slots__))
+        if changes:
+            raise TypeError(f"{type(self).__qualname__} has no field {next(iter(changes))!r}")
+        return new
 
 
 def binomial(n: int, k: int) -> int:
@@ -95,10 +145,10 @@ class CertBasis(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class CertVerdict:
-    outcome: CertOutcome
-    basis: CertBasis
+class CertVerdict(FrozenValue):
+    """One verdict of ``certify_comparison``: the outcome and the test behind it."""
+
+    __slots__ = ("outcome", "basis")
 
 
 _NOT_CERTIFIED = CertVerdict(CertOutcome.NOT_CERTIFIED, CertBasis.NONE)

@@ -26,7 +26,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from decimal import Decimal
 from math import prod
 
-from .combinat import binomial, binomial_row
+from .combinat import FrozenValue, binomial, binomial_row
 
 # Rows up to this many entries are convolved entry by entry; when both rows
 # are longer, one big multiplication of the packed rows is faster (measured
@@ -260,7 +260,7 @@ def box_critical_vector(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int
     return CountVector(counts)
 
 
-class SeatGame:
+class SeatGame(FrozenValue):
     """A simple game counted in seats, stated by two methods of its subclass.
 
     ``axes()`` gives (class id, seats) per seat-count axis, in bit order.
@@ -268,7 +268,10 @@ class SeatGame:
     (lo, hi) range per axis; the union must be monotone along every axis (one
     more seat on any axis never turns a win into a loss), as
     ``box_critical_vector`` requires; it checks the axis of the class asked for.
+    A subclass is a ``FrozenValue`` whose fields are its ``__slots__``.
     """
+
+    __slots__ = ()
 
     @property
     def total_players(self) -> int:

@@ -21,9 +21,9 @@ test suite, every bitmask of a popcount array at once.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import product
 from math import comb, prod
-from typing import Callable
 
 from .chambers import MulticamSpec
 from .counting import CountVector

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
 from decimal import MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
@@ -19,18 +18,22 @@ ELIDE_DIGITS = 120
 CSV_HEADER = "section,field1,field2,field3,value,approx"
 
 
-@dataclass
 class Section:
-    id: str
-    title: str
-    headers: tuple[str, ...]
-    rows: list[tuple[str, ...]] = field(default_factory=list)
+    """One titled table: ``rows`` of pre-formatted cells under ``headers``."""
+
+    def __init__(self, id: str, title: str, headers: tuple[str, ...]) -> None:
+        self.id = id
+        self.title = title
+        self.headers = headers
+        self.rows: list[tuple[str, ...]] = []
 
 
-@dataclass
 class Report:
-    meta: list[tuple[str, str]] | None
-    sections: list[Section] = field(default_factory=list)
+    """Metadata pairs, or None to leave them out, and the sections in order."""
+
+    def __init__(self, meta: list[tuple[str, str]] | None) -> None:
+        self.meta = meta
+        self.sections: list[Section] = []
 
     def section(self, id: str, title: str, headers: tuple[str, ...]) -> Section:
         sec = Section(id, title, headers)

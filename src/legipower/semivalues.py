@@ -18,16 +18,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .combinat import binomial, binomial_row
+from .combinat import FrozenValue, binomial, binomial_row
 from .counting import CountVector
 
 
-@dataclass(frozen=True)
-class WeightingVector:
+class WeightingVector(FrozenValue):
     """Per-size weights numerators[k-1] / denominator for coalition size k.
 
     The constructor brings the weights to lowest terms, so two vectors are
@@ -37,11 +35,10 @@ class WeightingVector:
     (Fraction(1, 3), Fraction(1, 6), Fraction(1, 3))
     """
 
-    numerators: tuple[int, ...]
-    denominator: int
+    __slots__ = ("numerators", "denominator")
 
-    def __post_init__(self) -> None:
-        nums, den = tuple(self.numerators), self.denominator
+    def __init__(self, numerators: Iterable[int], denominator: int) -> None:
+        nums, den = tuple(numerators), denominator
         if not nums:
             raise ValueError("a weighting vector needs at least one entry")
         if den <= 0:
@@ -53,8 +50,7 @@ class WeightingVector:
         common = math.gcd(den, *sorted(nums, key=int.bit_length))
         if common > 1:
             nums, den = tuple(x // common for x in nums), den // common
-        object.__setattr__(self, "numerators", nums)
-        object.__setattr__(self, "denominator", den)
+        super().__init__(nums, den)
         total = sum(x * c for x, c in zip(nums, binomial_row(len(nums) - 1)) if x)
         if total != den:
             raise ValueError(
@@ -166,8 +162,7 @@ class Dominance(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(FrozenValue):
     """Outcome of the coordinatewise comparison of two critical vectors.
 
     ``witness`` is set only for INCOMPARABLE: the smallest size where the
@@ -175,10 +170,10 @@ class Relation:
     behind.
     """
 
-    kind: Dominance
-    witness: tuple[int, int] | None = None
+    __slots__ = ("kind", "witness")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: Dominance, witness: tuple[int, int] | None = None) -> None:
+        super().__init__(kind, witness)
         if (self.witness is not None) != (self.kind is Dominance.INCOMPARABLE):
             raise ValueError("witness is present exactly for INCOMPARABLE relations")
 

@@ -13,10 +13,9 @@ from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
 
 from .counting import CountVector, SeatGame
 from .semivalues import Relation, WeightingVector, competition_ranks, evaluate, weak_desirability
@@ -29,7 +28,6 @@ class PlayerClass(Enum):
     REPRESENTATIVE = "representative"
 
 
-@dataclass(frozen=True)
 class UsSpec(SeatGame):
     """Sizes, signature-track quotas, override quotas, and executive flags.
 
@@ -39,18 +37,15 @@ class UsSpec(SeatGame):
     a president, and a tie-breaking vice president.
     """
 
-    senate_size: int = 100
-    house_size: int = 435
-    senate_quota: int = 51
-    house_quota: int = 218
-    senate_override: int = 67
-    house_override: int = 290
-    has_president: bool = True
-    has_vp: bool = True
-    senate_name: str = "senate"
-    house_name: str = "house"
+    __slots__ = ("senate_size", "house_size", "senate_quota", "house_quota", "senate_override",
+                 "house_override", "has_president", "has_vp", "senate_name", "house_name")
 
-    def __post_init__(self) -> None:
+    def __init__(self, senate_size: int = 100, house_size: int = 435, senate_quota: int = 51,
+                 house_quota: int = 218, senate_override: int = 67, house_override: int = 290,
+                 has_president: bool = True, has_vp: bool = True,
+                 senate_name: str = "senate", house_name: str = "house") -> None:
+        super().__init__(senate_size, house_size, senate_quota, house_quota, senate_override,
+                         house_override, has_president, has_vp, senate_name, house_name)
         if self.senate_size < 1 or self.house_size < 1:
             raise ValueError("chamber sizes must be >= 1")
         names = [self.senate_name, self.house_name]
@@ -139,7 +134,7 @@ def supermajority_scan(
     """
     out = []
     for quota in senate_quotas:
-        scanned = replace(spec, senate_quota=quota)
+        scanned = spec.replace(senate_quota=quota)
         cs = scanned.critical_vector(PlayerClass.SENATOR.value)
         cr = scanned.critical_vector(PlayerClass.REPRESENTATIVE.value)
         sr = weak_desirability(cs, cr)

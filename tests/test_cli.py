@@ -547,3 +547,34 @@ class TestFailureExits:
         monkeypatch.setattr(cli, "cmd_crossover", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(["crossover", "--ms", "3", "--mr", "5"])
+
+
+class TestStartup:
+    """Every job pays the CLI's start-up, so importing it stays off the
+    modules that only introspection needs.  ``-S`` runs both interpreters
+    without ``site``, which may already load ``typing`` through a ``.pth``
+    file and so hide an import of it."""
+
+    @staticmethod
+    def _python(*args):
+        src = str(Path(legipower.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH"))))},
+        )
+
+    @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+    def test_import_adds_no_dataclasses_inspect_or_typing(self, flags):
+        def modules(statement):
+            proc = self._python(*flags, "-c", f"{statement}; import sys; print(*sys.modules)")
+            assert (proc.returncode, proc.stderr) == (0, "")
+            return set(proc.stdout.split())
+
+        added = modules("import legipower.cli") - modules("pass")
+        assert "legipower.cli" in added
+        assert not added & {"dataclasses", "inspect", "typing"}
+
+    def test_version(self):
+        proc = self._python("-m", "legipower.cli", "--version")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "legipower 1.0.0\n", "")

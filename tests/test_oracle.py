@@ -442,8 +442,8 @@ class TestLattice:
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert not any(isinstance(node, ast.Import) for node in ast.walk(tree))
         assert imported == {
-            ("__future__", "annotations"), ("itertools", "product"), ("math", "comb"),
-            ("math", "prod"), ("typing", "Callable"), ("chambers", "MulticamSpec"),
+            ("__future__", "annotations"), ("collections.abc", "Callable"),
+            ("itertools", "product"), ("math", "comb"), ("math", "prod"), ("chambers", "MulticamSpec"),
             ("counting", "CountVector"), ("uslike", "UsSpec"),
         }
         # The spec types carry the closed form as methods; the lattice must
