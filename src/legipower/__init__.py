@@ -17,14 +17,7 @@ from .chambers import (
     crossover_sizes,
     majority_quota,
 )
-from .combinat import (
-    CertBasis,
-    CertOutcome,
-    CertVerdict,
-    binomial,
-    binomial_row,
-    certify_comparison,
-)
+from .combinat import binomial, binomial_row, member_signs
 from .counting import CountVector
 from .semivalues import (
     Dominance,
@@ -47,9 +40,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CaseClass",
-    "CertBasis",
-    "CertOutcome",
-    "CertVerdict",
     "CertificationMismatchError",
     "ChamberSpec",
     "CountVector",
@@ -62,12 +52,12 @@ __all__ = [
     "banzhaf",
     "binomial",
     "binomial_row",
-    "certify_comparison",
     "classify_bicameral",
     "compare_members",
     "crossover_sizes",
     "evaluate",
     "majority_quota",
+    "member_signs",
     "point_mass",
     "ranking",
     "shapley_shubik",

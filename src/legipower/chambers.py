@@ -5,8 +5,8 @@ seats, the winning coalitions form one box, quota..size in every chamber.
 ``MulticamSpec.boxes()`` states it, and ``SeatGame.critical_vector`` counts a
 member's critical coalitions from it: at size k, C(m-1, q-1) * U(k - q), where
 U counts the quota-meeting picks from the other chambers.  Member comparisons
-are ``weak_desirability`` relations, cross-checked against the certificate
-route where it applies.
+are ``weak_desirability`` relations; on two chambers their per-size signs are
+cross-checked against ``combinat.member_signs``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from enum import Enum
 
-from .combinat import CertOutcome, FrozenValue, certify_comparison
+from .combinat import FrozenValue, member_signs
 from .counting import CountVector, SeatGame
 from .semivalues import Relation, size_signs, weak_desirability
 
@@ -77,39 +77,37 @@ class MulticamSpec(SeatGame):
 
 
 class CertificationMismatchError(RuntimeError):
-    """A certificate contradicted direct evaluation; the implementation is wrong."""
+    """The two-chamber sign stream contradicted the critical vectors; the
+    implementation is wrong."""
 
 
 def _member_signs(spec: MulticamSpec, a: str, b: str
                   ) -> tuple[CountVector, CountVector, dict[int, int]]:
     """Both members' critical vectors and ``size_signs`` of (a minus b).
 
-    For two chambers with interior quotas the certificate route's verdicts are
-    checked against those signs first.
+    On two chambers those signs must equal ``member_signs``, the second route.
     """
     if a == b:
         raise ValueError("compare_members needs two distinct chambers")
     va, vb = spec.critical_vector(a), spec.critical_vector(b)
     signs = size_signs(va, vb)
-    by_name = {c.name: c for c in spec.chambers}
-    ca, cb = by_name[a], by_name[b]
-    if len(spec.chambers) == 2 and 1 < ca.quota < ca.size and 1 < cb.quota < cb.size:
-        for k, verdict in certify_comparison(ca.size, ca.quota, cb.size, cb.quota).items():
-            if verdict.outcome is CertOutcome.CERTIFIED_GREATER and signs.get(k, 0) <= 0:
-                raise CertificationMismatchError(
-                    f"certificate says {a} member ahead at size {k}, evaluation disagrees"
-                )
-            if verdict.outcome is CertOutcome.CERTIFIED_EQUAL and signs.get(k, 0) != 0:
-                raise CertificationMismatchError(
-                    f"certificate says equality at size {k}, evaluation disagrees"
-                )
+    if len(spec.chambers) == 2:
+        by_name = {c.name: c for c in spec.chambers}
+        ca, cb = by_name[a], by_name[b]
+        stream = member_signs(ca.size, ca.quota, cb.size, cb.quota)
+        if stream != signs:
+            k = min(k for k in signs.keys() | stream.keys() if signs.get(k) != stream.get(k))
+            raise CertificationMismatchError(
+                f"sign stream gives {stream.get(k)} at size {k}, the critical vectors "
+                f"give {signs.get(k)}"
+            )
     return va, vb, signs
 
 
 def compare_members(spec: MulticamSpec, a: str, b: str) -> Relation:
     """``weak_desirability`` of a member of chamber ``a`` against one of chamber ``b``.
 
-    The certificate route cross-checks the comparison first where it applies.
+    On two chambers the sign stream cross-checks the comparison first.
     Swapping the arguments mirrors the relation.
     """
     va, vb, _ = _member_signs(spec, a, b)
@@ -152,10 +150,10 @@ def classify_bicameral(m_small: int, m_large: int) -> CaseClass:
 def crossover_sizes(m_small: int, q_small: int, m_large: int, q_large: int) -> frozenset[int]:
     """Sizes where the larger chamber's member is strictly ahead.
 
-    Read off the certificate-checked signs that ``compare_members`` uses.  The
+    Read off the stream-checked signs that ``compare_members`` uses.  The
     result is one run of consecutive sizes starting at the larger chamber's
-    member's first critical size, possibly empty: checked, not proved, for
-    every two-chamber spec of up to 20 seats at every quota.
+    member's first critical size, possibly empty, at every quota: proved by
+    the lemma in the ``combinat`` module docstring.
     """
     if not m_small < m_large:
         raise ValueError(f"need m_small < m_large, got {m_small}, {m_large}")

@@ -1,39 +1,41 @@
-"""Exact combinatorics for comparing products of binomial coefficients.
+"""Exact combinatorics: binomials, binomial rows and the two-chamber sign stream.
 
 In a two-chamber voting game with sizes (m_a, m_b) and quotas (q_a, q_b), a
 chamber-A member is critical in C(m_a-1, q_a-1) * C(m_b, k-q_a) coalitions
 of size k, and a chamber-B member in C(m_b-1, q_b-1) * C(m_a, k-q_b).
-Dividing both products by the two cores, A is ahead at overshoot
-i = k - q_a - q_b exactly when B's ratio C(m_b, q_b+i) / C(m_b-1, q_b-1)
-beats A's C(m_a, q_a+i) / C(m_a-1, q_a-1).  Each ratio starts at m/q and
-grows by the small-integer factor (m-q-i)/(q+i+1) per step, so comparing
-starting points and growth factors decides the comparison from sizes and
-quotas alone: ``certify_comparison`` never touches a big binomial.
+Dividing both products by the two cores and clearing denominators, A's
+member is ahead at overshoot i = k - q_a - q_b exactly when P > Q, where P
+starts at m_b*q_a and Q at m_a*q_b, and each step from i to i+1 multiplies
 
-The tests of ``certify_comparison`` give the paper's bicameral result.
-Put the smaller house s in chamber A and the larger l in B, with majority
-quotas: 2a+1 seats have q = a+1 and m-q = a, and 2a seats have q = a+1 and
-m-q = a-1.  The minimal-size test q_s*m_l > q_l*m_s and the growth test
-(m_l-q_l)(q_s+1) > (m_s-q_s)(q_l+1) then reduce, per ``CaseClass``, to:
+    P by (m_b-q_b-i)(q_a+i+1)    and    Q by (m_a-q_a-i)(q_b+i+1).
 
-* BOTH_ODD, 2a+1 < 2b+1: both tests to b > a.
-* BOTH_EVEN, 2a < 2b: minimal size to b > a, growth to 3b > 3a.
-* SMALL_EVEN_LARGE_ODD, 2a < 2b+1 so a <= b: minimal size to 2b+1 > a, growth to 3b+2 > 2a.
-* SMALL_ODD_LARGE_EVEN_WIDE, 2b > 4a+2: minimal size to b > 2a+1, growth to 2b > 3a+2 (b >= 2a+2).
-* SMALL_ODD_LARGE_EVEN_DOUBLE, 2b = 4a+2: minimal sizes tie; the seed test to 2(a+2) > 2a+3.
-* SMALL_ODD_LARGE_EVEN_ADJACENT, 2b = 2a+2: b > 2a+1 fails, so l leads at the minimal size.
-* SMALL_ODD_LARGE_EVEN_BETWEEN, 2a+2 < 2b < 4a+2: b > 2a+1 fails, as in the adjacent case.
+The two step factors differ by D0 + i*(m_b-m_a), where
+D0 = (m_b-q_b)(q_a+1) - (m_a-q_a)(q_b+1): the i*i terms cancel.  With
+m_a <= m_b that difference never falls as i grows, so once P/Q rises it
+keeps rising.  ``member_signs`` walks i over the common support, 0..last
+with last = min(m_a-q_a, m_b-q_b), and stops early in two cases:
 
-So outside the last two cases the smaller house's member is ahead at every
-size, hence under every semivalue; in the double case it ties at the minimal
-size and is ahead at every other.  ``tests/test_chambers.py::TestBicameralSplit``
-checks each case.
+* A leads: A leads for the rest of the common support.  A lead at i = 0
+  means q_a(m_b-q_b) > q_b(m_a-q_a), which with m_a <= m_b forces
+  m_b-q_b >= m_a-q_a and so D0 > 0; a lead taken later is taken on a rising
+  step.  Either way P/Q rises from there on.
+* B leads and D0 + (last-1)*(m_b-m_a) <= 0: P's factors are at most Q's up
+  to the last step, so B leads for the rest of the common support.
+
+Past the common support only the member with the longer support is
+critical, so it leads.  Hence, for m_a < m_b, the sizes where B's member
+leads are one run from the minimal size, possibly empty.  If A leads or
+ties there, D0 >= 0 as above, so P/Q never falls and A's support is at
+least as long.  If B's support is the longer,
+D0 + (last-1)*(m_b-m_a) = (q_a-q_b) - (m_a-q_a-m_b+q_b)*m_b < 0, so B leads
+at every size.  ``tests/test_chambers.py::TestBicameralSplit``
+reads the paper's bicameral split off the stream for every majority pair of
+chambers of 3 to 150 seats.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 
 class FrozenValue:
@@ -125,90 +127,37 @@ def binomial_row(n: int) -> list[int]:
     return row
 
 
-def _check_quota_interior(m: int, q: int, side: str) -> None:
-    if not 1 < q < m:
-        raise ValueError(f"need 1 < quota < size for chamber {side}, got quota={q}, size={m}")
+def member_signs(m_a: int, q_a: int, m_b: int, q_b: int) -> dict[int, int]:
+    """Sign of A's member minus B's at every size where either is critical.
 
+    Exactly ``semivalues.size_signs`` of the two members' critical vectors in
+    the two-chamber game, for any quotas in 1..m, ascending from q_a + q_b to
+    max(q_a + m_b, q_b + m_a).  Computed by the stream of the module
+    docstring, with chamber A the smaller (swap and negate otherwise).
 
-class CertOutcome(Enum):
-    CERTIFIED_GREATER = "certified-greater"
-    CERTIFIED_EQUAL = "certified-equal"
-    NOT_CERTIFIED = "not-certified"
-
-
-class CertBasis(Enum):
-    """Which small-integer test justified a verdict."""
-
-    MIN_SIZE_RATIO = "min-size-ratio"      # quota-share comparison at the minimal size
-    SEED_PAIR = "seed-pair"                # both entry conditions hold: lead covers the whole range
-    SINGLE_CROSSING = "single-crossing"    # lead established at the second size persists upward
-    NONE = "none"
-
-
-class CertVerdict(FrozenValue):
-    """One verdict of ``certify_comparison``: the outcome and the test behind it."""
-
-    __slots__ = ("outcome", "basis")
-
-
-_NOT_CERTIFIED = CertVerdict(CertOutcome.NOT_CERTIFIED, CertBasis.NONE)
-
-
-def _verdict(lhs: int, rhs: int, basis: CertBasis) -> CertVerdict:
-    """Greater, equal or not certified, as lhs compares with rhs."""
-    if lhs > rhs:
-        return CertVerdict(CertOutcome.CERTIFIED_GREATER, basis)
-    if lhs == rhs:
-        return CertVerdict(CertOutcome.CERTIFIED_EQUAL, basis)
-    return _NOT_CERTIFIED
-
-
-def certify_comparison(m_a: int, q_a: int, m_b: int, q_b: int) -> dict[int, CertVerdict]:
-    """Certified verdicts on whether A's product beats B's, for every relevant size.
-
-    The products compared at size k are C(m_a-1, q_a-1) * C(m_b, k-q_a) and
-    C(m_b-1, q_b-1) * C(m_a, k-q_b).  Returns a map over all sizes k where at
-    least one of them is nonzero, i.e. q_a + q_b <= k <= max(q_a + m_b,
-    q_b + m_a).  Verdicts come only from three exact small-integer tests:
-
-    * minimal size: the comparison reduces to quota shares, greater iff
-      q_a*m_b > q_b*m_a, equal iff the two match;
-    * growth: (m_b-q_b)*(q_a+1) > (m_a-q_a)*(q_b+1), so with m_a < m_b a
-      lead at the minimal size persists at every later size;
-    * seed, the exact comparison at the second size:
-      (m_b-q_b)*m_b*(q_a+1)*q_a against (m_a-q_a)*m_a*(q_b+1)*q_b.  With
-      m_a < m_b and no lead at the minimal size, a lead here crosses exactly
-      once and A stays ahead from the second size on.
-
-    Sizes beyond the shorter support, where only one product can be nonzero,
-    inherit the range verdict when chamber A's support is the longer one.
-    Where no test applies the verdict is NOT_CERTIFIED; big binomials are
-    never evaluated.
-
-    >>> certify_comparison(3, 2, 5, 3)[5].outcome
-    <CertOutcome.CERTIFIED_GREATER: 'certified-greater'>
+    >>> member_signs(5, 3, 8, 5)
+    {8: -1, 9: -1, 10: 1, 11: 1}
+    >>> member_signs(3, 2, 6, 4)
+    {6: 0, 7: 1, 8: 1}
     """
-    _check_quota_interior(m_a, q_a, "A")
-    _check_quota_interior(m_b, q_b, "B")
-
-    first = _verdict(q_a * m_b, q_b * m_a, CertBasis.MIN_SIZE_RATIO)
-    seed = _verdict((m_b - q_b) * m_b * (q_a + 1) * q_a,
-                    (m_a - q_a) * m_a * (q_b + 1) * q_b, CertBasis.SINGLE_CROSSING)
-    growth = (m_b - q_b) * (q_a + 1) > (m_a - q_a) * (q_b + 1)
-    lead_first = first.outcome is CertOutcome.CERTIFIED_GREATER
-    if m_a < m_b and lead_first and growth:
-        whole = CertVerdict(CertOutcome.CERTIFIED_GREATER, CertBasis.SEED_PAIR)
-    elif m_a < m_b and not lead_first and seed.outcome is CertOutcome.CERTIFIED_GREATER:
-        whole = seed
-    else:
-        whole = _NOT_CERTIFIED
-    second = seed if whole is _NOT_CERTIFIED else whole
-    tail = whole if q_a + m_b > q_b + m_a else _NOT_CERTIFIED
-
-    # Interior quotas put the second size inside both supports.
-    k_min = q_a + q_b
-    k_both = min(q_a + m_b, q_b + m_a)
-    k_max = max(q_a + m_b, q_b + m_a)
-    return {k_min: first, k_min + 1: second,
-            **dict.fromkeys(range(k_min + 2, k_both + 1), whole),
-            **dict.fromkeys(range(k_both + 1, k_max + 1), tail)}
+    for m, q, side in ((m_a, q_a, "A"), (m_b, q_b, "B")):
+        if not 1 <= q <= m:
+            raise ValueError(f"need 1 <= quota <= size for chamber {side}, got quota={q}, size={m}")
+    if m_a > m_b:
+        return {k: -s for k, s in member_signs(m_b, q_b, m_a, q_a).items()}
+    last = min(m_a - q_a, m_b - q_b)
+    d0 = (m_b - q_b) * (q_a + 1) - (m_a - q_a) * (q_b + 1)
+    b_keeps_lead = d0 + (last - 1) * (m_b - m_a) <= 0
+    lhs, rhs = m_b * q_a, m_a * q_b
+    signs = []
+    for i in range(last + 1):
+        s = (lhs > rhs) - (lhs < rhs)
+        signs.append(s)
+        if s > 0 or s < 0 and b_keeps_lead:
+            signs += [s] * (last - i)
+            break
+        lhs *= (m_b - q_b - i) * (q_a + i + 1)
+        rhs *= (m_a - q_a - i) * (q_b + i + 1)
+    tail = (m_b - q_b) - (m_a - q_a)
+    signs += [1 if tail > 0 else -1] * abs(tail)
+    return dict(enumerate(signs, q_a + q_b))

@@ -19,17 +19,16 @@ from legipower import (
     WeightingVector,
     banzhaf,
     binomial,
-    certify_comparison,
     compare_members,
     crossover_sizes,
     majority_quota,
+    member_signs,
     ranking,
     shapley_shubik,
     supermajority_scan,
     weak_desirability,
     evaluate,
 )
-from legipower.combinat import CertOutcome
 from legipower.semivalues import size_signs
 from bitmask import critical_vector, from_spec
 from helpers import MINI_US_SPECS, product_sign
@@ -290,28 +289,19 @@ def test_criterion_9_ratio_identity_and_certificates():
                 j = quota + overshoot
                 assert binomial(size, j + 1) * (j + 1) == binomial(size, j) * (size - j)
 
-    # Certificates never contradict direct evaluation, and the direct
+    # The sign stream equals direct evaluation at every size, and the direct
     # comparison is single-crossing, over the majority-quota grid to size 40.
     for m_small in range(3, 40):
         for m_large in range(m_small + 1, 41):
             q_small = majority_quota(m_small)
             q_large = majority_quota(m_large)
-            if not (1 < q_small < m_small and 1 < q_large < m_large):
-                continue
-            verdicts = certify_comparison(m_small, q_small, m_large, q_large)
-            for k, verdict in verdicts.items():
-                sign = product_sign(m_small, q_small, m_large, q_large, k)
-                if verdict.outcome is CertOutcome.CERTIFIED_GREATER:
-                    assert sign > 0, (m_small, m_large, k)
-                elif verdict.outcome is CertOutcome.CERTIFIED_EQUAL:
-                    assert sign == 0, (m_small, m_large, k)
+            sizes = range(q_small + q_large, max(q_small + m_large, q_large + m_small) + 1)
+            direct = {k: product_sign(m_small, q_small, m_large, q_large, k) for k in sizes}
+            assert member_signs(m_small, q_small, m_large, q_large) == direct, (m_small, m_large)
             k_both = min(q_small + m_large, q_large + m_small)
-            flags = [
-                product_sign(m_small, q_small, m_large, q_large, k) > 0
-                for k in range(q_small + q_large, k_both + 1)
-            ]
+            flags = [direct[k] > 0 for k in range(q_small + q_large, k_both + 1)]
             assert flags == sorted(flags), (m_small, m_large)
-    _report("9 ratio identity, certificate soundness, single crossing", True)
+    _report("9 ratio identity, sign stream exact, single crossing", True)
 
 
 def test_criterion_10_semivalue_sanity():

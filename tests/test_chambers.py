@@ -1,4 +1,7 @@
+from itertools import groupby
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from legipower import (
     CaseClass,
@@ -7,17 +10,15 @@ from legipower import (
     Dominance,
     MulticamSpec,
     Relation,
-    certify_comparison,
     classify_bicameral,
     compare_members,
     crossover_sizes,
     majority_quota,
+    member_signs,
 )
 from legipower import chambers
-from legipower.combinat import CertBasis, CertOutcome, CertVerdict
 from legipower.semivalues import size_signs
 from bitmask import critical_vector, from_spec
-from helpers import product_sign
 
 
 def _bicam(m_a, q_a, m_b, q_b):
@@ -161,15 +162,23 @@ class TestCompareMembers:
             compare_members(_bicam(3, 2, 5, 3), "a", "c")
 
     def test_certificate_contradiction_raises(self, monkeypatch):
-        # (3, 2, 5, 3) is strict dominance for "a"; a certificate of equality
-        # at every size contradicts it.
+        # (3, 2, 5, 3) is strict dominance for "a"; a stream of ties at every
+        # size contradicts it first at the minimal size.
         def wrong(m_a, q_a, m_b, q_b):
-            equal = CertVerdict(CertOutcome.CERTIFIED_EQUAL, CertBasis.MIN_SIZE_RATIO)
-            return {k: equal for k in range(q_a + q_b, max(q_a + m_b, q_b + m_a) + 1)}
+            return dict.fromkeys(range(q_a + q_b, max(q_a + m_b, q_b + m_a) + 1), 0)
 
-        monkeypatch.setattr(chambers, "certify_comparison", wrong)
-        with pytest.raises(CertificationMismatchError, match="certificate says equality"):
+        monkeypatch.setattr(chambers, "member_signs", wrong)
+        with pytest.raises(CertificationMismatchError,
+                           match="gives 0 at size 5, the critical vectors give 1"):
             compare_members(_bicam(3, 2, 5, 3), "a", "b")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_stream_equals_the_vectors(self, data):
+        # Two chambers of up to a few hundred seats, any quotas 1..m.
+        m_a, m_b = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 300))
+        q_a, q_b = data.draw(st.integers(1, m_a)), data.draw(st.integers(1, m_b))
+        assert member_signs(m_a, q_a, m_b, q_b) == _signs(_bicam(m_a, q_a, m_b, q_b), "a", "b")
 
     def test_quota_share_dominance_on_grid(self):
         # Whenever the smaller chamber needs the larger share of its members
@@ -207,36 +216,33 @@ class TestClassifyBicameral:
             classify_bicameral(6, 5)
 
 
+# The paper's bicameral split as runs of the smaller house's member's sign
+# minus the larger's: ahead at every size outside the three cases listed.
+SPLIT_RUNS = {
+    CaseClass.SMALL_ODD_LARGE_EVEN_DOUBLE: [0, 1],
+    CaseClass.SMALL_ODD_LARGE_EVEN_ADJACENT: [-1],
+    CaseClass.SMALL_ODD_LARGE_EVEN_BETWEEN: [-1, 1],
+}
+
+
 class TestBicameralSplit:
     @pytest.mark.parametrize("case", list(CaseClass), ids=lambda c: c.value)
-    def test_certificates_decide_the_paper_split(self, case):
-        """The paper's bicameral result, from the certificate conditions alone.
+    def test_stream_decides_the_paper_split(self, case):
+        """The paper's bicameral result, from the sign stream alone.
 
-        The per-case algebra is in the ``legipower.combinat`` docstring: outside
-        the adjacent and between cases the smaller house's member is certified
-        ahead at every size, and in the double case it ties at the first size.
+        Outside the exceptional case the smaller house's member is ahead at
+        every size; twice the seats ties at the minimal size and is ahead at
+        every other; adjacent sizes put the larger house's member ahead at
+        every size, so under every semivalue; strictly between, the larger
+        house's member leads on one run of sizes and the smaller on the rest.
         """
         pairs = [(m_s, m_l) for m_s in range(3, 151) for m_l in range(m_s + 1, 151)
                  if classify_bicameral(m_s, m_l) is case]
         assert pairs
         for m_s, m_l in pairs:
-            q_s, q_l = majority_quota(m_s), majority_quota(m_l)
-            verdicts = certify_comparison(m_s, q_s, m_l, q_l)
-            first = verdicts.pop(q_s + q_l)
-            if case in (CaseClass.SMALL_ODD_LARGE_EVEN_ADJACENT,
-                        CaseClass.SMALL_ODD_LARGE_EVEN_BETWEEN):
-                assert first.outcome is CertOutcome.NOT_CERTIFIED, (m_s, m_l)
-                assert product_sign(m_s, q_s, m_l, q_l, q_s + q_l) < 0, (m_s, m_l)
-            elif case is CaseClass.SMALL_ODD_LARGE_EVEN_DOUBLE:
-                assert first == CertVerdict(CertOutcome.CERTIFIED_EQUAL,
-                                            CertBasis.MIN_SIZE_RATIO), (m_s, m_l)
-                assert all(v.outcome is CertOutcome.CERTIFIED_GREATER
-                           for v in verdicts.values()), (m_s, m_l)
-            else:
-                assert first == CertVerdict(CertOutcome.CERTIFIED_GREATER,
-                                            CertBasis.MIN_SIZE_RATIO), (m_s, m_l)
-                assert set(verdicts.values()) <= {CertVerdict(CertOutcome.CERTIFIED_GREATER,
-                                                              CertBasis.SEED_PAIR)}, (m_s, m_l)
+            signs = member_signs(m_s, majority_quota(m_s), m_l, majority_quota(m_l))
+            runs = [sign for sign, _ in groupby(signs.values())]
+            assert runs == SPLIT_RUNS.get(case, [1]), (m_s, m_l)
 
 
 class TestCrossoverSizes:

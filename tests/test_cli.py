@@ -477,15 +477,18 @@ class TestFailureExits:
         assert value == f"1/{2 ** 1099}"
         assert approx == "1.472430e-331"
 
-    def test_certificate_contradiction_is_an_internal_error(self, capsys, monkeypatch):
+    @staticmethod
+    def _wrong_stream(monkeypatch):
+        # Ties at every size: never the signs of two distinct chambers here.
         from legipower import chambers
-        from legipower.combinat import CertBasis, CertOutcome, CertVerdict
 
         def wrong(m_a, q_a, m_b, q_b):
-            equal = CertVerdict(CertOutcome.CERTIFIED_EQUAL, CertBasis.MIN_SIZE_RATIO)
-            return {k: equal for k in range(q_a + q_b, max(q_a + m_b, q_b + m_a) + 1)}
+            return dict.fromkeys(range(q_a + q_b, max(q_a + m_b, q_b + m_a) + 1), 0)
 
-        monkeypatch.setattr(chambers, "certify_comparison", wrong)
+        monkeypatch.setattr(chambers, "member_signs", wrong)
+
+    def test_certificate_contradiction_is_an_internal_error(self, capsys, monkeypatch):
+        self._wrong_stream(monkeypatch)
         code, out, err = _run(capsys, "crossover", "--ms", "101", "--mr", "150")
         assert (code, out) == (4, "")
         assert err.startswith("error: internal: ")
@@ -493,14 +496,7 @@ class TestFailureExits:
 
     def test_certificate_contradiction_in_compare_is_an_internal_error(
             self, capsys, monkeypatch, write_spec):
-        from legipower import chambers
-        from legipower.combinat import CertBasis, CertOutcome, CertVerdict
-
-        def wrong(m_a, q_a, m_b, q_b):
-            equal = CertVerdict(CertOutcome.CERTIFIED_EQUAL, CertBasis.MIN_SIZE_RATIO)
-            return {k: equal for k in range(q_a + q_b, max(q_a + m_b, q_b + m_a) + 1)}
-
-        monkeypatch.setattr(chambers, "certify_comparison", wrong)
+        self._wrong_stream(monkeypatch)
         path = write_spec({"chambers": [
             {"name": "small", "size": 101, "quota": 51},
             {"name": "large", "size": 150, "quota": 76},
@@ -508,6 +504,23 @@ class TestFailureExits:
         code, out, err = _run(capsys, "compare", path, "small", "large")
         assert (code, out) == (4, "")
         assert err.startswith("error: internal: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["crossover", "compare"])
+    def test_stream_contradiction_at_a_boundary_quota_is_an_internal_error(
+            self, capsys, monkeypatch, write_spec, command):
+        # Quota 1 in the smaller house: a boundary quota is checked too.
+        self._wrong_stream(monkeypatch)
+        if command == "crossover":
+            argv = ("crossover", "--ms", "3", "--mr", "5", "--qs", "1")
+        else:
+            argv = ("compare", write_spec({"chambers": [
+                {"name": "small", "size": 3, "quota": 1},
+                {"name": "large", "size": 5, "quota": 5},
+            ]}), "small", "large")
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: internal: sign stream gives 0 at size ")
         assert err.count("\n") == 1
 
     def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):

@@ -3,13 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from legipower import (
-    CertBasis,
-    CertOutcome,
-    binomial,
-    binomial_row,
-    certify_comparison,
-)
+from legipower import binomial, binomial_row, member_signs
 from helpers import pascal_binomial, product_sign
 
 
@@ -55,12 +49,12 @@ class TestBinomialRow:
 
 def _count_ratio(size, quota, overshoot):
     # Chamber's ways to supply quota + overshoot members, over the ways to
-    # complete one member's quota core: the ratio certify_comparison compares.
+    # complete one member's quota core: the ratio member_signs compares.
     return Fraction(binomial(size, quota + overshoot), binomial(size - 1, quota - 1))
 
 
 class TestRatioFacts:
-    # The facts certify_comparison rests on: each chamber's ratio starts at
+    # The facts member_signs rests on: each chamber's ratio starts at
     # size/quota and grows by (size-quota-i)/(quota+i+1) per unit of overshoot.
     def test_count_ratio_values(self):
         assert _count_ratio(5, 2, 0) == Fraction(5, 2)
@@ -86,90 +80,63 @@ class TestRatioFacts:
                     ) * _count_ratio(size, quota, overshoot)
 
 
-class TestCertification:
-    def test_dominant_pair_certified_everywhere(self):
-        verdicts = certify_comparison(3, 2, 5, 3)
-        assert sorted(verdicts) == [5, 6, 7]
-        assert all(v.outcome is CertOutcome.CERTIFIED_GREATER for v in verdicts.values())
-        assert verdicts[5].basis is CertBasis.MIN_SIZE_RATIO
-        assert verdicts[6].basis is CertBasis.SEED_PAIR
-        assert verdicts[7].basis is CertBasis.SEED_PAIR
+def _direct_signs(m_a, q_a, m_b, q_b):
+    # product_sign at every size where either member is critical, ascending.
+    sizes = range(q_a + q_b, max(q_a + m_b, q_b + m_a) + 1)
+    return {k: product_sign(m_a, q_a, m_b, q_b, k) for k in sizes}
 
-    def test_tied_minimum_then_crossing(self):
-        verdicts = certify_comparison(3, 2, 6, 4)
-        assert sorted(verdicts) == [6, 7, 8]
-        assert verdicts[6].outcome is CertOutcome.CERTIFIED_EQUAL
-        assert verdicts[6].basis is CertBasis.MIN_SIZE_RATIO
-        assert verdicts[7].outcome is CertOutcome.CERTIFIED_GREATER
-        assert verdicts[7].basis is CertBasis.SINGLE_CROSSING
-        assert verdicts[8].outcome is CertOutcome.CERTIFIED_GREATER
+
+class TestMemberSigns:
+    def test_dominant_pair_ahead_everywhere(self):
+        assert member_signs(3, 2, 5, 3) == {5: 1, 6: 1, 7: 1}
+
+    def test_tied_minimum_then_ahead(self):
+        assert member_signs(3, 2, 6, 4) == {6: 0, 7: 1, 8: 1}
 
     def test_examples_against_direct_products(self):
-        # 20 > 18, 8 < 9 and 30 == 30: product_sign and the certificates agree.
-        assert product_sign(3, 2, 5, 3, 5) == 1
-        assert certify_comparison(3, 2, 5, 3)[5].outcome is CertOutcome.CERTIFIED_GREATER
-        assert product_sign(3, 2, 4, 3, 5) == -1
-        assert certify_comparison(4, 3, 3, 2)[5].outcome is CertOutcome.CERTIFIED_GREATER
-        assert product_sign(3, 2, 6, 4, 6) == 0
-        assert certify_comparison(3, 2, 6, 4)[6].outcome is CertOutcome.CERTIFIED_EQUAL
+        # 20 > 18, 8 < 9 and 30 == 30: product_sign and the stream agree.
+        assert product_sign(3, 2, 5, 3, 5) == member_signs(3, 2, 5, 3)[5] == 1
+        assert product_sign(3, 2, 4, 3, 5) == member_signs(3, 2, 4, 3)[5] == -1
+        assert member_signs(4, 3, 3, 2)[5] == 1
+        assert product_sign(3, 2, 6, 4, 6) == member_signs(3, 2, 6, 4)[6] == 0
 
     @pytest.mark.parametrize("m_a,q_a,m_b,q_b", [
-        (3, 1, 5, 3), (3, 2, 5, 5), (3, 0, 5, 3), (3, 3, 5, 3),
-        (3, 2, 5, 1), (3, 2, 5, 6),
+        (3, 0, 5, 3), (3, 4, 5, 3), (3, 2, 5, 0), (3, 2, 5, 6), (0, 0, 5, 3),
     ])
     def test_quota_preconditions(self, m_a, q_a, m_b, q_b):
-        with pytest.raises(ValueError):
-            certify_comparison(m_a, q_a, m_b, q_b)
+        with pytest.raises(ValueError, match="1 <= quota <= size"):
+            member_signs(m_a, q_a, m_b, q_b)
 
-    def test_failed_minimum_not_certified(self):
-        verdicts = certify_comparison(51, 26, 100, 51)
-        assert verdicts[77].outcome is CertOutcome.NOT_CERTIFIED
-        assert verdicts[77].basis is CertBasis.NONE
+    @pytest.mark.parametrize("m_a,q_a,m_b,q_b", [
+        (3, 1, 5, 3), (3, 2, 5, 5), (3, 3, 5, 3), (3, 2, 5, 1), (1, 1, 1, 1), (1, 1, 7, 7),
+    ])
+    def test_boundary_quotas_accepted(self, m_a, q_a, m_b, q_b):
+        assert member_signs(m_a, q_a, m_b, q_b) == _direct_signs(m_a, q_a, m_b, q_b)
 
-    def test_failed_minimum_later_sizes_match_direct_evaluation(self):
-        # The same parameters cross at the second size; every certified verdict
-        # must agree with full evaluation of the products.
-        verdicts = certify_comparison(51, 26, 100, 51)
-        for k, verdict in verdicts.items():
-            if verdict.outcome is CertOutcome.CERTIFIED_GREATER:
-                assert product_sign(51, 26, 100, 51, k) > 0, k
+    def test_exceptional_minimum_decided(self):
+        # The larger chamber's member leads at the minimal size 77 only; the
+        # stream decides every size, matching direct evaluation.
+        signs = member_signs(51, 26, 100, 51)
+        assert (signs[77], signs[78]) == (-1, 1)
+        assert signs == _direct_signs(51, 26, 100, 51)
 
-    def test_soundness_and_single_crossing_exhaustive(self):
-        # Every certificate agrees with direct evaluation, and the direct
-        # comparison switches from false to true at most once over the range
-        # where both products are nonzero.
-        for m_a in range(3, 20):
-            for m_b in range(m_a + 1, 21):
-                for q_a in range(2, m_a):
-                    for q_b in range(2, m_b):
-                        verdicts = certify_comparison(m_a, q_a, m_b, q_b)
-                        k_lo = q_a + q_b
-                        k_both = min(q_a + m_b, q_b + m_a)
-                        k_hi = max(q_a + m_b, q_b + m_a)
-                        assert sorted(verdicts) == list(range(k_lo, k_hi + 1))
-                        signs = {k: product_sign(m_a, q_a, m_b, q_b, k)
-                                 for k in range(k_lo, k_hi + 1)}
-                        for k, verdict in verdicts.items():
-                            if verdict.outcome is CertOutcome.CERTIFIED_GREATER:
-                                assert signs[k] > 0, (m_a, q_a, m_b, q_b, k)
-                            elif verdict.outcome is CertOutcome.CERTIFIED_EQUAL:
-                                assert signs[k] == 0, (m_a, q_a, m_b, q_b, k)
-                        flags = [signs[k] > 0 for k in range(k_lo, k_both + 1)]
-                        assert flags == sorted(flags), (m_a, q_a, m_b, q_b)
+    def test_adjacent_pair_at_scale(self):
+        # The second stopping rule decides the whole support at once: the
+        # larger house's member leads at all 50,001 sizes.
+        signs = member_signs(100_001, 50_001, 100_002, 50_002)
+        assert list(signs) == list(range(100_003, 150_004))
+        assert set(signs.values()) == {-1}
 
-    def test_soundness_at_every_interior_quota(self):
-        # Callers certify at any interior quotas, in either chamber order:
-        # every certificate must agree with direct evaluation of the products.
-        sizes = 0
-        for m_a in range(3, 21):
-            for q_a in range(2, m_a):
-                for m_b in range(3, 21):
-                    for q_b in range(2, m_b):
-                        args = (m_a, q_a, m_b, q_b)
-                        for k, verdict in certify_comparison(*args).items():
-                            sizes += 1
-                            if verdict.outcome is CertOutcome.CERTIFIED_GREATER:
-                                assert product_sign(*args, k) > 0, (args, k)
-                            elif verdict.outcome is CertOutcome.CERTIFIED_EQUAL:
-                                assert product_sign(*args, k) == 0, (args, k)
-        assert sizes == 295_887
+    def test_equals_direct_products_exhaustive(self):
+        # Every quadruple of sizes up to 26 seats, every quota 1..m, either
+        # chamber order: the stream is product_sign at every size, in order.
+        quadruples = 0
+        for m_a in range(1, 27):
+            for q_a in range(1, m_a + 1):
+                for m_b in range(1, 27):
+                    for q_b in range(1, m_b + 1):
+                        signs = member_signs(m_a, q_a, m_b, q_b)
+                        direct = _direct_signs(m_a, q_a, m_b, q_b)
+                        assert list(signs.items()) == list(direct.items()), (m_a, q_a, m_b, q_b)
+                        quadruples += 1
+        assert quadruples == 123_201

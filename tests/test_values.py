@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from legipower import ChamberSpec, Dominance, MulticamSpec, UsSpec, supermajority_scan
-from legipower.combinat import CertBasis, CertOutcome, CertVerdict, FrozenValue
+from legipower.combinat import FrozenValue
 from legipower.semivalues import Relation, WeightingVector, weak_desirability
 
 A = ChamberSpec("a", 3, 2)
@@ -25,9 +25,6 @@ VALUES = [
     (WeightingVector, ((2, 1, 2), 6), "WeightingVector(numerators=(2, 1, 2), denominator=6)"),
     (Relation, (Dominance.INCOMPARABLE, (3, 2)),
      "Relation(kind=<Dominance.INCOMPARABLE: 'incomparable'>, witness=(3, 2))"),
-    (CertVerdict, (CertOutcome.CERTIFIED_GREATER, CertBasis.SEED_PAIR),
-     "CertVerdict(outcome=<CertOutcome.CERTIFIED_GREATER: 'certified-greater'>, "
-     "basis=<CertBasis.SEED_PAIR: 'seed-pair'>)"),
 ]
 IDS = [cls.__name__ for cls, _, _ in VALUES]
 
