@@ -4,9 +4,10 @@ A legislature passes a motion when every chamber meets its quota: counted in
 seats, the winning coalitions form one box, quota..size in every chamber.
 ``MulticamSpec.boxes()`` states it, and ``SeatGame.critical_vector`` counts a
 member's critical coalitions from it: at size k, C(m-1, q-1) * U(k - q), where
-U counts the quota-meeting picks from the other chambers.  Member comparisons
-are ``weak_desirability`` relations; on two chambers their per-size signs are
-cross-checked against ``combinat.member_signs``.
+U counts the quota-meeting picks from the other chambers.  ``compare_members``
+compares two classes of any spec, a ``UsSpec`` too, as ``weak_desirability``
+does; on two chambers the per-size signs are cross-checked against
+``combinat.member_signs``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from collections.abc import Iterable
 from enum import Enum
 
 from .combinat import FrozenValue, member_signs
-from .counting import CountVector, SeatGame
-from .semivalues import Relation, size_signs, weak_desirability
+from .counting import SeatGame
+from .semivalues import Relation, size_signs
 
 
 def majority_quota(size: int) -> int:
@@ -81,17 +82,16 @@ class CertificationMismatchError(RuntimeError):
     implementation is wrong."""
 
 
-def _member_signs(spec: MulticamSpec, a: str, b: str
-                  ) -> tuple[CountVector, CountVector, dict[int, int]]:
-    """Both members' critical vectors and ``size_signs`` of (a minus b).
+def _member_signs(spec: SeatGame, a: str, b: str) -> dict[int, int]:
+    """``size_signs`` of a player of class ``a`` minus one of class ``b``.
 
-    On two chambers those signs must equal ``member_signs``, the second route.
+    On a two-chamber ``MulticamSpec`` they must equal ``member_signs``, the
+    second route.
     """
     if a == b:
-        raise ValueError("compare_members needs two distinct chambers")
-    va, vb = spec.critical_vector(a), spec.critical_vector(b)
-    signs = size_signs(va, vb)
-    if len(spec.chambers) == 2:
+        raise ValueError("compare needs two distinct classes")
+    signs = size_signs(spec.critical_vector(a), spec.critical_vector(b))
+    if isinstance(spec, MulticamSpec) and len(spec.chambers) == 2:
         by_name = {c.name: c for c in spec.chambers}
         ca, cb = by_name[a], by_name[b]
         stream = member_signs(ca.size, ca.quota, cb.size, cb.quota)
@@ -101,17 +101,17 @@ def _member_signs(spec: MulticamSpec, a: str, b: str
                 f"sign stream gives {stream.get(k)} at size {k}, the critical vectors "
                 f"give {signs.get(k)}"
             )
-    return va, vb, signs
+    return signs
 
 
-def compare_members(spec: MulticamSpec, a: str, b: str) -> Relation:
-    """``weak_desirability`` of a member of chamber ``a`` against one of chamber ``b``.
+def compare_members(spec: SeatGame, a: str, b: str) -> Relation:
+    """``weak_desirability`` of a player of class ``a`` against one of class ``b``,
+    on a ``MulticamSpec`` or a ``UsSpec``.
 
     On two chambers the sign stream cross-checks the comparison first.
     Swapping the arguments mirrors the relation.
     """
-    va, vb, _ = _member_signs(spec, a, b)
-    return weak_desirability(va, vb)
+    return Relation.from_signs(_member_signs(spec, a, b))
 
 
 class CaseClass(Enum):
@@ -159,5 +159,5 @@ def crossover_sizes(m_small: int, q_small: int, m_large: int, q_large: int) -> f
         raise ValueError(f"need m_small < m_large, got {m_small}, {m_large}")
     spec = MulticamSpec((ChamberSpec("small", m_small, q_small),
                          ChamberSpec("large", m_large, q_large)))
-    _, _, signs = _member_signs(spec, "small", "large")
+    signs = _member_signs(spec, "small", "large")
     return frozenset(k for k, s in signs.items() if s < 0)

@@ -12,14 +12,7 @@ import json
 import sys
 
 from . import __version__, lattice
-from .chambers import (
-    CertificationMismatchError,
-    MulticamSpec,
-    classify_bicameral,
-    compare_members,
-    crossover_sizes,
-    majority_quota,
-)
+from .chambers import classify_bicameral, compare_members, crossover_sizes, majority_quota
 from .counting import CountVector
 from .reporting import (
     Report,
@@ -152,12 +145,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.specfile)
     class_a = resolve_class(spec, args.class_a)
     class_b = resolve_class(spec, args.class_b)
-    if class_a == class_b:
-        raise SpecFileError("compare needs two distinct classes")
-    if isinstance(spec, MulticamSpec):
-        relation = compare_members(spec, class_a, class_b)
-    else:
-        relation = weak_desirability(spec.critical_vector(class_a), spec.critical_vector(class_b))
+    relation = compare_members(spec, class_a, class_b)
 
     report = Report(_meta(args, "compare", spec))
     sec = report.section("comparison", "weak desirability", ("field", "value"))
@@ -306,11 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_us = sub.add_parser("us", parents=[common],
                           help="built-in US-style system with optional quota overrides")
-    p_us.add_argument("--qs", type=int, default=51, help="senate signature quota (default 51)")
-    p_us.add_argument("--qr", type=int, default=218, help="house signature quota (default 218)")
-    p_us.add_argument("--os", type=int, default=67, help="senate override quota (default 67)")
-    p_us.add_argument("--or", type=int, default=290, dest="override_reps",
-                      help="house override quota (default 290)")
+    us = UsSpec()
+    p_us.add_argument("--qs", type=int, default=us.senate_quota,
+                      help="senate signature quota (default %(default)s)")
+    p_us.add_argument("--qr", type=int, default=us.house_quota,
+                      help="house signature quota (default %(default)s)")
+    p_us.add_argument("--os", type=int, default=us.senate_override,
+                      help="senate override quota (default %(default)s)")
+    p_us.add_argument("--or", type=int, default=us.house_override, dest="override_reps",
+                      help="house override quota (default %(default)s)")
     p_us.set_defaults(func=cmd_us)
 
     p_cross = sub.add_parser("crossover", parents=[common],
@@ -336,9 +328,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except CertificationMismatchError as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

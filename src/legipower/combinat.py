@@ -13,7 +13,7 @@ The two step factors differ by D0 + i*(m_b-m_a), where
 D0 = (m_b-q_b)(q_a+1) - (m_a-q_a)(q_b+1): the i*i terms cancel.  With
 m_a <= m_b that difference never falls as i grows, so once P/Q rises it
 keeps rising.  ``member_signs`` walks i over the common support, 0..last
-with last = min(m_a-q_a, m_b-q_b), and stops early in two cases:
+with last = min(m_a-q_a, m_b-q_b), and stops early in three cases:
 
 * A leads: A leads for the rest of the common support.  A lead at i = 0
   means q_a(m_b-q_b) > q_b(m_a-q_a), which with m_a <= m_b forces
@@ -21,6 +21,8 @@ with last = min(m_a-q_a, m_b-q_b), and stops early in two cases:
   step.  Either way P/Q rises from there on.
 * B leads and D0 + (last-1)*(m_b-m_a) <= 0: P's factors are at most Q's up
   to the last step, so B leads for the rest of the common support.
+* Identical chambers, m_a = m_b and D0 = 0 (so q_a = q_b): the two step
+  factors are equal at every step, so the tie at i = 0 holds to the end.
 
 Past the common support only the member with the longer support is
 critical, so it leads.  Hence, for m_a < m_b, the sizes where B's member
@@ -153,7 +155,7 @@ def member_signs(m_a: int, q_a: int, m_b: int, q_b: int) -> dict[int, int]:
     for i in range(last + 1):
         s = (lhs > rhs) - (lhs < rhs)
         signs.append(s)
-        if s > 0 or s < 0 and b_keeps_lead:
+        if s > 0 or s < 0 and b_keeps_lead or m_a == m_b and d0 == 0:
             signs += [s] * (last - i)
             break
         lhs *= (m_b - q_b - i) * (q_a + i + 1)

@@ -204,10 +204,11 @@ def box_critical_vector(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int
     the union's indicator steps up along that axis.  It is monotone there
     exactly when it has as many cells as the union of the boxes' up-closures
     along ``axis`` (each box's hi there raised to the axis's seats), which
-    contains it; otherwise a ``ValueError`` names the first box whose
-    up-closure leaves the union.  By inclusion-exclusion the indicator is a
-    signed sum of the boxes' intersections, each a box.  Inside one box the
-    step is +1 in the layer a_axis = lo and -1 in the layer a_axis = hi + 1;
+    contains it; otherwise a ``RuntimeError`` names the first box whose
+    up-closure leaves the union (the spec's boxes are at fault, not its
+    input).  By inclusion-exclusion the indicator is a signed sum of the
+    boxes' intersections, each a box.  Inside one box the step is +1 in the
+    layer a_axis = lo and -1 in the layer a_axis = hi + 1;
     a layer at a seats, empty unless 1 <= a <= m, counts C(m-1, a-1) times
     the product of the other axes' binomial row slices
     S_i(t) = sum_{lo_i<=x<=hi_i} C(m_i, x) t^x, each cut to the box's range
@@ -234,8 +235,8 @@ def box_critical_vector(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int
     cells = _cells(signs)
     if _cells(_signed_meets(map(up, clipped))) != cells:
         first = next(b for b in clipped if _cells(_signed_meets([*clipped, up(b)])) != cells)
-        raise ValueError(f"the boxes' union is not monotone along axis {axis}: box {first}, "
-                         f"raised to its {m} seats there, leaves the union")
+        raise RuntimeError(f"the boxes' union is not monotone along axis {axis}: box {first}, "
+                           f"raised to its {m} seats there, leaves the union")
     counts = {}
     for box, sign in signs.items():
         lo, hi = box[axis]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
 
@@ -177,6 +177,22 @@ class Relation(FrozenValue):
         if (self.witness is not None) != (self.kind is Dominance.INCOMPARABLE):
             raise ValueError("witness is present exactly for INCOMPARABLE relations")
 
+    @classmethod
+    def from_signs(cls, signs: Mapping[int, int]) -> Relation:
+        """The relation that the signs of a first critical vector minus a second
+        state, ascending by size as ``size_signs`` gives them; the kinds are
+        those of ``weak_desirability``."""
+        above = [k for k, s in signs.items() if s > 0]
+        below = [k for k, s in signs.items() if s < 0]
+        if above and below:
+            return cls(Dominance.INCOMPARABLE, (above[0], below[0]))
+        if not above and not below:
+            return cls(Dominance.EQUAL)
+        strict = 0 not in signs.values()
+        if above:
+            return cls(Dominance.STRICTLY_ABOVE if strict else Dominance.WEAKLY_ABOVE)
+        return cls(Dominance.STRICTLY_BELOW if strict else Dominance.WEAKLY_BELOW)
+
 
 def size_signs(ci: CountVector, cj: CountVector) -> dict[int, int]:
     """Sign of ci[k] - cj[k] at every size, ascending, where either vector is nonzero."""
@@ -192,14 +208,4 @@ def weak_desirability(ci: CountVector, cj: CountVector) -> Relation:
     some such size.  The BELOW kinds are the mirror images, and INCOMPARABLE
     reports a witness pair of sizes won by opposite sides.
     """
-    signs = size_signs(ci, cj)
-    above = [k for k, s in signs.items() if s > 0]
-    below = [k for k, s in signs.items() if s < 0]
-    if above and below:
-        return Relation(Dominance.INCOMPARABLE, (above[0], below[0]))
-    if not above and not below:
-        return Relation(Dominance.EQUAL)
-    strict = 0 not in signs.values()
-    if above:
-        return Relation(Dominance.STRICTLY_ABOVE if strict else Dominance.WEAKLY_ABOVE)
-    return Relation(Dominance.STRICTLY_BELOW if strict else Dominance.WEAKLY_BELOW)
+    return Relation.from_signs(size_signs(ci, cj))

@@ -4,13 +4,16 @@ Everything here deliberately avoids the library's code paths: binomials come
 from the Pascal recurrence or ``math.comb``, a box union's critical counts
 from explicit subset enumeration, and the passage rules below are evaluated
 one bitmask at a time, the way ``bitmask.rule_table`` defines a table, against
-which ``bitmask.from_spec``'s broadcast tables are checked.
+which ``bitmask.from_spec``'s broadcast tables are checked.  The hypothesis
+strategies at the end draw spec-file documents.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable
+
+from hypothesis import strategies as st
 
 from legipower import MulticamSpec, UsSpec
 
@@ -135,3 +138,32 @@ def us_rule(spec: UsSpec) -> tuple[list[str], Callable[[int], bool]]:
         return senate_ok and r >= q_r
 
     return labels, win
+
+
+names = st.text(alphabet="abcxyzAB_-", min_size=1, max_size=6)
+
+
+@st.composite
+def _chamber_docs(draw, count):
+    chambers = []
+    for name in draw(st.lists(names, min_size=count, max_size=count, unique=True)):
+        size = draw(st.integers(1, 40))
+        chambers.append({"name": name, "size": size, "quota": draw(st.integers(1, size))})
+    return chambers
+
+
+@st.composite
+def spec_documents(draw):
+    """A multicameral document of 1 to 4 chambers, or a US-style one of two,
+    every chamber of 1 to 40 seats at any quota."""
+    if draw(st.booleans()):
+        return {"chambers": draw(_chamber_docs(draw(st.integers(1, 4))))}
+    chambers = draw(_chamber_docs(2))
+    return {
+        "chambers": chambers,
+        "executive": {
+            "president": draw(st.booleans()),
+            "vice_president": draw(st.booleans()),
+            "override": {c["name"]: draw(st.integers(1, c["size"])) for c in chambers},
+        },
+    }

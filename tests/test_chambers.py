@@ -1,4 +1,4 @@
-from itertools import groupby
+from itertools import groupby, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +17,10 @@ from legipower import (
     member_signs,
 )
 from legipower import chambers
-from legipower.semivalues import size_signs
+from legipower.semivalues import size_signs, weak_desirability
+from legipower.specfile import parse_spec
 from bitmask import critical_vector, from_spec
+from helpers import spec_documents
 
 
 def _bicam(m_a, q_a, m_b, q_b):
@@ -154,7 +156,7 @@ class TestCompareMembers:
         assert compare_members(_bicam(4, 3, 4, 3), "a", "b") == Relation(Dominance.EQUAL)
 
     def test_same_chamber_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^compare needs two distinct classes$"):
             compare_members(_bicam(3, 2, 5, 3), "a", "a")
 
     def test_unknown_chamber_rejected(self):
@@ -179,6 +181,15 @@ class TestCompareMembers:
         m_a, m_b = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 300))
         q_a, q_b = data.draw(st.integers(1, m_a)), data.draw(st.integers(1, m_b))
         assert member_signs(m_a, q_a, m_b, q_b) == _signs(_bicam(m_a, q_a, m_b, q_b), "a", "b")
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=spec_documents())
+    def test_every_class_pair_of_every_spec(self, doc):
+        # US-style specs of up to 82 players and one to four chambers.
+        spec = parse_spec(doc)
+        vectors = {c: spec.critical_vector(c) for c in spec.class_ids()}
+        for a, b in permutations(vectors, 2):
+            assert compare_members(spec, a, b) == weak_desirability(vectors[a], vectors[b])
 
     def test_quota_share_dominance_on_grid(self):
         # Whenever the smaller chamber needs the larger share of its members

@@ -207,6 +207,30 @@ class TestCompare:
         assert (rows["first"], rows["second"]) == ("A", "a")
         assert rows["relation"] == "strictly-below"
 
+    @pytest.mark.parametrize("spec,classes", [
+        (MINI_US, ("vp", "representative")),
+        ({"chambers": [{"name": name, "size": size, "quota": size // 2 + 1}
+                       for name, size in (("a", 3), ("b", 4), ("c", 5))]}, ("c", "a")),
+    ], ids=["us", "three-chambers"])
+    def test_one_route_and_one_sign_pass(self, capsys, monkeypatch, write_spec, spec, classes):
+        from legipower import chambers, cli, semivalues
+
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "compare_members",
+                            counted("compare_members", cli.compare_members))
+        for module in (chambers, semivalues, cli):
+            monkeypatch.setattr(module, "size_signs", counted("size_signs", module.size_signs))
+        code, _, _ = _run(capsys, "compare", write_spec(spec), *classes)
+        assert code == 0
+        assert calls == ["compare_members", "size_signs"]
+
 
 class TestOracle:
     def test_mini_us_matches(self, capsys, write_spec):
@@ -292,6 +316,19 @@ class TestOracle:
         code, out, err = _run(capsys, "oracle", write_spec(spec), "--no-meta")
         assert (code, out) == (4, "")
         assert err.startswith("error: internal: RuleAxiomError: not-monotone: ")
+
+    def test_non_monotone_boxes_are_an_internal_error(self, capsys, monkeypatch):
+        from legipower.uslike import UsSpec
+
+        # The VP's tie row alone stops one senate seat short of the quota, so
+        # one more senator can lose: valid input, contradicted by the spec's boxes.
+        boxes = UsSpec.boxes
+        monkeypatch.setattr(UsSpec, "boxes", lambda spec: boxes(spec)[-1:])
+        code, out, err = _run(capsys, "us", "--no-meta")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: internal: RuntimeError: "
+                              "the boxes' union is not monotone along axis 2: ")
+        assert err.count("\n") == 1
 
 
 class TestUsCommand:
@@ -520,7 +557,8 @@ class TestFailureExits:
             ]}), "small", "large")
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (4, "")
-        assert err.startswith("error: internal: sign stream gives 0 at size ")
+        assert err.startswith(
+            "error: internal: CertificationMismatchError: sign stream gives 0 at size ")
         assert err.count("\n") == 1
 
     def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):

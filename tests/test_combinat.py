@@ -127,6 +127,14 @@ class TestMemberSigns:
         assert list(signs) == list(range(100_003, 150_004))
         assert set(signs.values()) == {-1}
 
+    def test_identical_chambers_at_scale(self):
+        # The third stopping rule: equal step factors keep the first tie to
+        # the end.  Stepping through all 100,001 sizes, multiplying ever
+        # larger integers, would take seconds.
+        signs = member_signs(200_001, 100_001, 200_001, 100_001)
+        assert list(signs) == list(range(200_002, 300_003))
+        assert set(signs.values()) == {0}
+
     def test_equals_direct_products_exhaustive(self):
         # Every quadruple of sizes up to 26 seats, every quota 1..m, either
         # chamber order: the stream is product_sign at every size, in order.

@@ -14,37 +14,10 @@ from legipower.specfile import (
     parse_spec,
     resolve_class,
 )
-
-_names = st.text(alphabet="abcxyzAB_-", min_size=1, max_size=6)
-
-
-@st.composite
-def _chamber_docs(draw, count):
-    names = draw(st.lists(_names, min_size=count, max_size=count, unique=True))
-    chambers = []
-    for name in names:
-        size = draw(st.integers(1, 40))
-        chambers.append({"name": name, "size": size, "quota": draw(st.integers(1, size))})
-    return chambers
-
-
-@st.composite
-def _documents(draw):
-    if draw(st.booleans()):
-        return {"chambers": draw(_chamber_docs(draw(st.integers(1, 4))))}
-    chambers = draw(_chamber_docs(2))
-    return {
-        "chambers": chambers,
-        "executive": {
-            "president": draw(st.booleans()),
-            "vice_president": draw(st.booleans()),
-            "override": {c["name"]: draw(st.integers(1, c["size"])) for c in chambers},
-        },
-    }
-
+from helpers import names, spec_documents
 
 _scalars = (st.none() | st.booleans() | st.integers(-3, 8)
-            | st.floats(allow_nan=False, allow_infinity=False) | _names)
+            | st.floats(allow_nan=False, allow_infinity=False) | names)
 _keys = st.sampled_from(["chambers", "executive", "name", "size", "quota", "president",
                          "vice_president", "override", "a", "b"]) | st.text(max_size=4)
 _json_values = st.recursive(
@@ -56,7 +29,7 @@ _json_values = st.recursive(
 
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
-    @given(doc=_documents())
+    @given(doc=spec_documents())
     def test_document_round_trip(self, doc):
         spec = parse_spec(doc)
         assert spec.to_document() == doc
@@ -80,7 +53,8 @@ class TestFuzz:
         assert isinstance(spec, (MulticamSpec, UsSpec))
 
     @settings(max_examples=200, deadline=None)
-    @given(doc=_documents(), path=st.sampled_from(["chambers", "executive"]), junk=_json_values)
+    @given(doc=spec_documents(), path=st.sampled_from(["chambers", "executive"]),
+           junk=_json_values)
     def test_damaged_documents(self, doc, path, junk):
         damaged = dict(doc, **{path: junk})
         try:
