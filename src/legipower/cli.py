@@ -58,6 +58,19 @@ def _meta(args: argparse.Namespace, command: str,
     return meta
 
 
+def integer(text: str) -> int:
+    """``text`` as an int, when it is an optional ``-`` and ASCII digits.
+
+    Plain ``int()`` also takes ``+3``, ``0_3``, `` 3`` and non-ASCII digits
+    such as the Arabic-Indic ones; those raise ``ValueError`` here, which
+    argparse reports as an "invalid integer value".
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _resolve_index(selector: str, n: int) -> tuple[str, WeightingVector]:
     if selector == "banzhaf":
         return "banzhaf", banzhaf(n)
@@ -66,7 +79,7 @@ def _resolve_index(selector: str, n: int) -> tuple[str, WeightingVector]:
     if selector.startswith("pointmass:"):
         raw = selector.split(":", 1)[1]
         try:
-            size = int(raw)
+            size = integer(raw)
         except ValueError:
             raise SpecFileError(f"pointmass size must be an integer, got {raw!r}") from None
         return f"pointmass:{size}", point_mass(n, size)
@@ -295,22 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_us = sub.add_parser("us", parents=[common],
                           help="built-in US-style system with optional quota overrides")
     us = UsSpec()
-    p_us.add_argument("--qs", type=int, default=us.senate_quota,
+    p_us.add_argument("--qs", type=integer, default=us.senate_quota,
                       help="senate signature quota (default %(default)s)")
-    p_us.add_argument("--qr", type=int, default=us.house_quota,
+    p_us.add_argument("--qr", type=integer, default=us.house_quota,
                       help="house signature quota (default %(default)s)")
-    p_us.add_argument("--os", type=int, default=us.senate_override,
+    p_us.add_argument("--os", type=integer, default=us.senate_override,
                       help="senate override quota (default %(default)s)")
-    p_us.add_argument("--or", type=int, default=us.house_override, dest="override_reps",
+    p_us.add_argument("--or", type=integer, default=us.house_override, dest="override_reps",
                       help="house override quota (default %(default)s)")
     p_us.set_defaults(func=cmd_us)
 
     p_cross = sub.add_parser("crossover", parents=[common],
                              help="sizes where the larger house's member is ahead")
-    p_cross.add_argument("--ms", type=int, required=True, help="smaller house size")
-    p_cross.add_argument("--mr", type=int, required=True, help="larger house size")
-    p_cross.add_argument("--qs", type=int, help="smaller house quota (default: majority)")
-    p_cross.add_argument("--qr", type=int, help="larger house quota (default: majority)")
+    p_cross.add_argument("--ms", type=integer, required=True, help="smaller house size")
+    p_cross.add_argument("--mr", type=integer, required=True, help="larger house size")
+    p_cross.add_argument("--qs", type=integer, help="smaller house quota (default: majority)")
+    p_cross.add_argument("--qr", type=integer, help="larger house quota (default: majority)")
     p_cross.set_defaults(func=cmd_crossover)
 
     return parser

@@ -6,11 +6,16 @@ sum(weight[k] * C(n-1, k-1)) == 1.  All arithmetic is exact; ranking
 conclusions are order-sensitive, so no tolerance is ever applied.
 
 A ``WeightingVector`` holds its weights as integer numerators over one
-positive denominator, in lowest terms, so the normalisation check and every
-index value are one integer dot product and one ``Fraction``.  Shapley-Shubik
-needs no large common denominator: since n*C(n-1, k-1) = k*C(n, k) and
-lcm_k C(n, k) = lcm(1..n+1)/(n+1) (Farhi, Amer. Math. Monthly 116, 2009),
-its weights 1/(n*C(n-1, k-1)) share the denominator lcm(1..n).
+positive denominator, in lowest terms, so every index value is one integer
+dot product and one ``Fraction``.  The built-in vectors (``banzhaf``,
+``shapley_shubik``, ``point_mass``) are normal and in lowest terms by
+construction, each builder's docstring giving the proof, and skip the
+public constructor's checks.  Any other vector, such as one read from a
+weight file or built by ``WeightingVector.from_fractions``, is reduced by a
+gcd and its normalisation checked by an exact dot product.  Shapley-Shubik
+needs no large common denominator: n*C(n-1, k-1) = k*C(n, k) and
+lcm_k k*C(n, k) = lcm(1..n) (Farhi, Amer. Math. Monthly 116, 2009), so its
+weights 1/(n*C(n-1, k-1)) share the denominator lcm(1..n).
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ class WeightingVector(FrozenValue):
     """Per-size weights numerators[k-1] / denominator for coalition size k.
 
     The constructor brings the weights to lowest terms, so two vectors are
-    equal exactly when their weights are.
+    equal exactly when their weights are, and refuses weights that are
+    negative or do not normalise.  The built-in builders skip both checks
+    through ``_proven``; ``replace``, pickling and ``copy`` run them again.
 
     >>> WeightingVector((2, 1, 2), 6).weights
     (Fraction(1, 3), Fraction(1, 6), Fraction(1, 3))
@@ -57,6 +64,14 @@ class WeightingVector(FrozenValue):
                 f"weights do not normalise: sum is {Fraction(total, den)}, expected 1")
 
     @classmethod
+    def _proven(cls, numerators: tuple[int, ...], denominator: int) -> WeightingVector:
+        """The vector of weights that its builder has proven normal and in
+        lowest terms: no gcd and no dot product."""
+        w = object.__new__(cls)
+        FrozenValue.__init__(w, numerators, denominator)
+        return w
+
+    @classmethod
     def from_fractions(cls, weights: Iterable) -> WeightingVector:
         """The vector of exact rationals ``weights``, over the lcm of their denominators."""
         fractions = [Fraction(w) for w in weights]
@@ -78,10 +93,14 @@ class WeightingVector(FrozenValue):
 
 
 def banzhaf(n: int) -> WeightingVector:
-    """Uniform weights 1 / 2^(n-1)."""
+    """Uniform weights 1 / 2^(n-1).
+
+    Normal by the binomial theorem, sum_k C(n-1, k-1) = 2^(n-1), and in
+    lowest terms because every numerator is 1.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return WeightingVector((1,) * n, 2 ** (n - 1))
+    return WeightingVector._proven((1,) * n, 1 << (n - 1))
 
 
 def _lcm_upto(n: int) -> int:
@@ -107,27 +126,46 @@ def _lcm_upto(n: int) -> int:
 def shapley_shubik(n: int) -> WeightingVector:
     """Weights 1 / (n * C(n-1, k-1)); the values of a game sum to 1.
 
-    Over L = lcm(1..n) the numerator at size 1 is L/n, and each next one
-    follows by the exact small-integer step of C(n-1, k-1) / C(n-1, k) = k/(n-k).
+    Over L = lcm(1..n) the numerator at size 1 is x_1 = L/n, and each next
+    one follows by the small-integer step x_(k+1) = x_k * k / (n-k), since
+    C(n-1, k-1) / C(n-1, k) = k/(n-k).  Every division is checked: on a
+    remainder it raises ``ArithmeticError``.  With none, x_k * C(n-1, k-1)
+    = L/n at every k, so sum_k x_k * C(n-1, k-1) = L: the weights are
+    normal.  They are in lowest terms because lcm_k n*C(n-1, k-1) =
+    lcm(1..n) = L (module docstring), so the numerators L / (n*C(n-1, k-1))
+    share no factor with L.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     den = _lcm_upto(n)
-    nums = [den // n]
+    x, rem = divmod(den, n)
+    nums = [x]
     for k in range(1, n):
-        nums.append(nums[-1] * k // (n - k))
-    return WeightingVector(tuple(nums), den)
+        if rem:
+            break
+        x, rem = divmod(x * k, n - k)
+        nums.append(x)
+    if rem:
+        raise ArithmeticError(
+            f"shapley_shubik({n}): the recurrence from lcm(1..n) leaves a remainder "
+            f"at size {len(nums)}")
+    return WeightingVector._proven(tuple(nums), den)
 
 
 def point_mass(n: int, size: int) -> WeightingVector:
-    """All weight on one coalition size: weight 1 / C(n-1, size-1) there, 0 elsewhere."""
+    """All weight on one coalition size: weight 1 / C(n-1, size-1) there, 0 elsewhere.
+
+    Normal because the one nonzero term of the normalisation sum is
+    1 * C(n-1, size-1), the denominator; in lowest terms because that
+    numerator is 1.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 1 <= size <= n:
         raise ValueError(f"size must be in [1, {n}], got {size}")
     nums = [0] * n
     nums[size - 1] = 1
-    return WeightingVector(tuple(nums), binomial(n - 1, size - 1))
+    return WeightingVector._proven(tuple(nums), binomial(n - 1, size - 1))
 
 
 def evaluate(w: WeightingVector, cv: CountVector) -> Fraction:

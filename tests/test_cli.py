@@ -443,6 +443,42 @@ class TestStrictSpecs:
         assert err == f"error: {path}: JSON nested too deeply\n"
 
 
+# What plain int() takes but the CLI does not: a sign, an underscore, a
+# space, and an Arabic-Indic digit three.
+LOOSE_INTEGERS = ["+3", "0_3", " 3", "\u0663"]
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize("text", LOOSE_INTEGERS)
+    def test_pointmass_size(self, capsys, write_spec, text):
+        code, out, err = _run(capsys, "analyze", write_spec(BICAM), "--index", f"pointmass:{text}")
+        assert (code, out) == (2, "")
+        assert err == f"error: pointmass size must be an integer, got {text!r}\n"
+
+    @pytest.mark.parametrize("text", LOOSE_INTEGERS)
+    @pytest.mark.parametrize("argv", [
+        ("crossover", "--ms", "3", "--mr", "5", "--qs", "2", "--qr", "3"),
+        ("us", "--qs", "51", "--qr", "218", "--os", "67", "--or", "290"),
+    ], ids=["crossover", "us"])
+    def test_flags(self, capsys, argv, text):
+        for i in range(2, len(argv), 2):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv[:i], text, *argv[i + 1:]])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2
+            assert err.endswith(f"error: argument {argv[i - 1]}: invalid integer value: {text!r}\n")
+
+    def test_negative_sizes_keep_the_range_message(self, capsys):
+        code, out, err = _run(capsys, "crossover", "--ms", "-3", "--mr", "5")
+        assert (code, out, err) == (2, "", "error: need 1 <= --ms < --mr, got -3, 5\n")
+
+    def test_ascii_digits_with_leading_zeros_are_integers(self, capsys, write_spec):
+        code, out, _ = _run(capsys, "analyze", write_spec(BICAM), "--index", "pointmass:03",
+                            "--format", "json", "--no-meta")
+        assert code == 0
+        assert {row[1] for row in _rows(out, "index_values")} == {"pointmass:3"}
+
+
 class TestLargeCounts:
     # C(15000, 7500) has 4515 digits, past Python's default 4300-digit limit
     # on int-to-string conversion.
@@ -587,6 +623,19 @@ class TestFailureExits:
         code, out, err = _run(capsys, "analyze", path)
         assert (code, out) == (4, "")
         assert err.startswith("error: internal: ArithmeticError: slice product ")
+        assert err.count("\n") == 1
+
+    def test_broken_shapley_recurrence_is_an_internal_error(self, capsys, monkeypatch,
+                                                            write_spec):
+        import math
+
+        from legipower import semivalues
+
+        # Half of lcm(1..8) = 840 is 420, which 8 does not divide.
+        monkeypatch.setattr(semivalues, "_lcm_upto", lambda n: math.lcm(*range(1, n + 1)) // 2)
+        code, out, err = _run(capsys, "analyze", write_spec(BICAM), "--index", "shapley")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: internal: ArithmeticError: shapley_shubik(8): ")
         assert err.count("\n") == 1
 
     def test_interrupt_is_not_caught(self, monkeypatch):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -145,6 +147,63 @@ class TestIntegerForm:
         message = r"^weights do not normalise: sum is 3/2, expected 1$"
         with pytest.raises(ValueError, match=message):
             WeightingVector.from_fractions((Fraction(1, 2), Fraction(1, 4), Fraction(1, 2)))
+
+
+def _checked(w):
+    """``w`` rebuilt through the public constructor, which reduces and checks."""
+    return WeightingVector(w.numerators, w.denominator)
+
+
+def _assert_same(proven, checked):
+    assert (proven.numerators, proven.denominator) == (checked.numerators, checked.denominator)
+    assert proven == checked and hash(proven) == hash(checked)
+
+
+class TestProvenBuilders:
+    """The built-in vectors skip the constructor's checks by proof; each must
+    equal what the checked constructor makes of the same numbers."""
+
+    @pytest.mark.parametrize("builder", [banzhaf, shapley_shubik])
+    def test_banzhaf_and_shapley_equal_the_checked_vector(self, builder):
+        for n in [*range(1, 301), 4001]:
+            w = builder(n)
+            _assert_same(w, _checked(w))
+
+    def test_point_mass_equals_the_checked_vector(self):
+        for n in range(1, 61):
+            for size in range(1, n + 1):
+                w = point_mass(n, size)
+                _assert_same(w, _checked(w))
+        for size in (1, 2001, 4001):
+            w = point_mass(4001, size)
+            _assert_same(w, _checked(w))
+
+    @pytest.mark.parametrize("w", [banzhaf(9), shapley_shubik(9), point_mass(9, 4)],
+                             ids=["banzhaf", "shapley", "pointmass"])
+    def test_survives_pickle_copy_and_replace(self, w):
+        for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w), w.replace()):
+            _assert_same(twin, w)
+
+    def test_replace_still_checks(self):
+        with pytest.raises(ValueError, match="do not normalise"):
+            banzhaf(3).replace(denominator=5)
+
+    def test_broken_recurrence_is_refused(self, monkeypatch):
+        from legipower import semivalues
+
+        # Half of lcm(1..8) = 840 is 420, which 8 does not divide.
+        monkeypatch.setattr(semivalues, "_lcm_upto", lambda n: math.lcm(*range(1, n + 1)) // 2)
+        with pytest.raises(ArithmeticError, match=r"^shapley_shubik\(8\): "):
+            shapley_shubik(8)
+
+    def test_remainder_past_the_first_step_is_refused(self, monkeypatch):
+        from legipower import semivalues
+
+        # A wrong L = 30 at n = 6: 30 / 6 = 5 and 5 * 1 / 5 = 1 are exact,
+        # then 1 * 2 / 4 leaves a remainder at size 3.
+        monkeypatch.setattr(semivalues, "_lcm_upto", lambda n: 30)
+        with pytest.raises(ArithmeticError, match=r"remainder at size 3$"):
+            shapley_shubik(6)
 
 
 @st.composite
