@@ -10,15 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import __version__, lattice
 from .chambers import classify_bicameral, compare_members, crossover_sizes, majority_quota
+from .combinat import binomial
 from .counting import CountVector
 from .reporting import (
     Report,
     approx_int,
     approx_rational,
-    format_int,
+    format_digits,
     render,
 )
 from .semivalues import (
@@ -109,15 +111,15 @@ def _spec_section(report: Report, spec: Legislature) -> None:
     sec.rows.append(("players", str(spec.total_players)))
 
 
-def _vector_section(report: Report, vectors: dict[str, CountVector],
+def _vector_section(report: Report, spec: Legislature, vectors: dict[str, CountVector],
                     elide: bool, approx: bool) -> None:
     headers = ("class", "size", "count") + (("approx",) if approx else ())
     sec = report.section("critical_vectors", "critical numbers", headers)
     for class_id, vec in vectors.items():
-        for k, v in vec.items():
-            row = (class_id, str(k), format_int(v, elide))
+        for k, digits in spec.critical_digits(class_id, vec):
+            row = (class_id, str(k), format_digits(digits, elide))
             if approx:
-                row += (approx_int(v),)
+                row += (approx_int(vec[k]),)
             sec.rows.append(row)
 
 
@@ -148,7 +150,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = Report(_meta(args, "analyze", spec))
     _spec_section(report, spec)
     elide = args.format != "json" and not args.full
-    _vector_section(report, vectors, elide, args.approx)
+    _vector_section(report, spec, vectors, elide, args.approx)
     _index_sections(report, vectors, [(index_name, w)], args.approx)
     print(render(report, args.format), end="")
     return 0
@@ -172,8 +174,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "distinguishing_indices", "distinguishing point-mass indices",
             ("favours", "size", "weight"),
         )
+        # point_mass(n, size).weight(size), without building the n weights.
         for favours, size in zip((class_a, class_b), relation.witness):
-            weight = point_mass(spec.total_players, size).weight(size)
+            weight = Fraction(1, binomial(spec.total_players - 1, size - 1))
             dsec.rows.append((favours, str(size), str(weight)))
     print(render(report, args.format), end="")
     return 0
@@ -244,7 +247,7 @@ def cmd_us(args: argparse.Namespace) -> int:
     _index_sections(report, vectors, [("banzhaf", banzhaf(n)), ("shapley", shapley_shubik(n))],
                     args.approx)
     elide = args.format != "json" and not args.full
-    _vector_section(report, vectors, elide, args.approx)
+    _vector_section(report, spec, vectors, elide, args.approx)
     print(render(report, args.format), end="")
     return 0
 
@@ -334,8 +337,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # Counts of chambers past about 14,000 seats have more digits than the
     # interpreter's default limit on int-to-string conversion (4300, where the
-    # limit exists); reports print them in full, so the limit is lifted while
-    # the command runs and restored for in-process callers.
+    # limit exists).  Reports print counts from their decimal digits run,
+    # which the limit does not touch, but index values, --approx and a class
+    # on the Kronecker path go through int-to-string conversion, so the limit
+    # is lifted while the command runs and restored for in-process callers.
     digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)

@@ -41,11 +41,11 @@ class Report:
         return sec
 
 
-def format_int(value: int, elide: bool) -> str:
-    text = str(value)
-    if elide and len(text) > ELIDE_DIGITS:
-        return f"[{len(text)} digits]"
-    return text
+def format_digits(digits: str, elide: bool) -> str:
+    """An integer's decimal digits, or ``[N digits]`` past ``ELIDE_DIGITS`` when eliding."""
+    if elide and len(digits) > ELIDE_DIGITS:
+        return f"[{len(digits)} digits]"
+    return digits
 
 
 def approx_rational(value: Fraction) -> str:

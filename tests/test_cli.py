@@ -10,6 +10,7 @@ import pytest
 
 import legipower
 from legipower.cli import main
+from legipower.semivalues import point_mass
 
 BICAM = {
     "chambers": [
@@ -190,6 +191,20 @@ class TestCompare:
         assert code == 0
         rows = dict((r[0], r[1]) for r in _rows(out, "comparison"))
         assert rows["relation"] == "strictly-below"
+
+    def test_witness_weights_are_the_point_masses(self, capsys, write_spec):
+        # An odd smaller and an even larger chamber at majority are incomparable.
+        spec = {"chambers": [
+            {"name": "small", "size": 7, "quota": 4},
+            {"name": "large", "size": 12, "quota": 7},
+        ]}
+        code, out, _ = _run(capsys, "compare", write_spec(spec), "small", "large",
+                            "--format", "json", "--no-meta")
+        assert code == 0
+        rows = _rows(out, "distinguishing_indices")
+        assert [row[0] for row in rows] == ["small", "large"]
+        for _, size, weight in rows:
+            assert weight == str(point_mass(19, int(size)).weight(int(size)))
 
     def test_unknown_class(self, capsys, write_spec):
         code, _, err = _run(capsys, "compare", write_spec(BICAM), "senate", "nobody")
@@ -608,21 +623,36 @@ class TestFailureExits:
         assert (code, out) == (4, "")
         assert err == "error: internal: RuntimeError: table went missing\n"
 
-    def test_inexact_slice_product_is_an_internal_error(self, capsys, monkeypatch,
-                                                        write_spec):
-        from legipower import combinat, counting
+    @pytest.mark.parametrize("command, run", [
+        ("analyze", "int"), ("analyze", "digits"), ("oracle", "int"),
+    ])
+    def test_inexact_walk_is_an_internal_error(self, capsys, monkeypatch, write_spec,
+                                               command, run):
+        # The walks' seed source one too large at C(5, 3): in both runs of
+        # analyze (int counts, then their digits), and in oracle's int run.
+        from legipower import counting
 
-        def off_by_one(n):
-            row = combinat.binomial_row(n)
-            row[n - 1] += 1
-            return row
+        exact = counting.binomial
 
-        monkeypatch.setattr(counting, "binomial_row", off_by_one)
+        def off_by_one(n, k):
+            return exact(n, k) + ((n, k) == (5, 3))
+
+        if run == "int":
+            monkeypatch.setattr(counting, "binomial", off_by_one)
+        else:
+            digits = counting.SeatGame.critical_digits
+
+            def inexact_digits(spec, *args):
+                with monkeypatch.context() as patch:
+                    patch.setattr(counting, "binomial", off_by_one)
+                    return list(digits(spec, *args))
+
+            monkeypatch.setattr(counting.SeatGame, "critical_digits", inexact_digits)
         path = write_spec({"chambers": [{"name": name, "size": 5, "quota": 3}
                                         for name in ("a", "b", "c")]})
-        code, out, err = _run(capsys, "analyze", path)
+        code, out, err = _run(capsys, command, path)
         assert (code, out) == (4, "")
-        assert err.startswith("error: internal: ArithmeticError: slice product ")
+        assert err.startswith("error: internal: ArithmeticError: walk along row 5 ")
         assert err.count("\n") == 1
 
     def test_broken_shapley_recurrence_is_an_internal_error(self, capsys, monkeypatch,

@@ -1,13 +1,21 @@
+import contextlib
+import decimal
 import itertools
+import json
 import math
 import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from legipower import CountVector, binomial, binomial_row
+from legipower import ChamberSpec, CountVector, MulticamSpec, UsSpec, binomial, binomial_row
+from legipower import counting
 from legipower.counting import (
-    KRONECKER_MIN_LEN, _convolve, _slice_product, box_critical_vector)
+    _EXACT, KRONECKER_MIN_LEN, _convolve, _kronecker, _slice_product, _terms, _walk,
+    box_critical_vector)
+from legipower.specfile import load_spec_file
 from helpers import box_union_critical_counts, plain_convolve
 
 
@@ -152,19 +160,27 @@ def _rows(max_len):
         lambda n: st.lists(entries, min_size=n, max_size=n))
 
 
-@pytest.fixture
-def default_digit_limit():
-    """The interpreter's default limit on int-to-string conversion, as a
-    library caller that never goes through ``cli.main`` has it."""
+@contextlib.contextmanager
+def _digit_limit(limit):
+    """The interpreter's limit on int-to-string conversion set to ``limit``
+    (0: none) for the block, where the interpreter has the limit."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
     previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
+    sys.set_int_max_str_digits(limit)
     try:
         yield
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit on int-to-string conversion, as a
+    library caller that never goes through ``cli.main`` has it."""
+    with _digit_limit(4300):
+        yield
 
 
 class TestConvolve:
@@ -206,50 +222,103 @@ class TestConvolve:
         assert _convolve(a, b) == plain_convolve(a, b)
 
 
-def _row_slice(m, lo, hi):
-    """(m, lo, [C(m, lo), ..., C(m, hi)]): the arguments of one slice."""
-    return m, lo, binomial_row(m)[lo:hi + 1]
+def _comb_row(m, lo, hi):
+    """[C(m, lo), ..., C(m, hi)] by ``math.comb``."""
+    return [math.comb(m, x) for x in range(lo, hi + 1)]
 
 
 @st.composite
-def _row_slices(draw, max_seats):
+def _slices(draw, max_seats):
     m = draw(st.integers(0, max_seats))
     lo = draw(st.integers(0, m))
-    return _row_slice(m, lo, draw(st.integers(lo, m)))
+    return m, lo, draw(st.integers(lo, m))
+
+
+def _in_decimal(fn, core, *args):
+    """``fn(Decimal(core), *args)`` under ``_EXACT``: the digits run's arithmetic."""
+    with decimal.localcontext(_EXACT):
+        return fn(Decimal(core), *args)
+
+
+def _binomial_off_by_one(monkeypatch, n, k):
+    """``counting.binomial``, the walks' seed source, one too large at (n, k) only."""
+    exact = counting.binomial
+    monkeypatch.setattr(counting, "binomial", lambda a, b: exact(a, b) + ((a, b) == (n, k)))
+
+
+class TestWalk:
+    def test_every_scaled_slice_up_to_eight_seats(self):
+        for m in range(9):
+            for lo, hi in itertools.combinations_with_replacement(range(m + 1), 2):
+                expected = [-3 * v for v in _comb_row(m, lo, hi)]
+                assert _walk(-3, m, lo, hi) == expected, (m, lo, hi)
+                assert _in_decimal(_walk, -3, m, lo, hi) == expected, (m, lo, hi)
+
+    @pytest.mark.parametrize("num", [int, Decimal])
+    def test_seed_that_is_not_binomial_raises(self, monkeypatch, num):
+        # C(12, 3) + 1 = 221 = 13 * 17: 221 * 9 / 4 leaves a remainder.
+        _binomial_off_by_one(monkeypatch, 12, 3)
+        with pytest.raises(ArithmeticError, match=r"walk along row 12 is not exact at C\(12, 4\)"):
+            _in_decimal(_walk, 1, 12, 3, 9) if num is Decimal else _walk(1, 12, 3, 9)
+
+    @pytest.mark.parametrize("num", [int, Decimal])
+    def test_exact_walk_to_a_wrong_end_raises(self, monkeypatch, num):
+        # Twice C(6, 1) walks exactly, to twice C(6, 6); math.comb says once.
+        exact = counting.binomial
+        monkeypatch.setattr(counting, "binomial", lambda a, b: 2 * exact(a, b))
+        with pytest.raises(ArithmeticError, match=r"walk along row 6 ends off C\(6, 6\)"):
+            _in_decimal(_walk, 1, 6, 1, 6) if num is Decimal else _walk(1, 6, 1, 6)
 
 
 class TestSliceProduct:
     def test_every_pair_of_slices_up_to_six_seats(self):
-        slices = [_row_slice(m, lo, hi) for m in range(7)
+        slices = [(m, lo, hi) for m in range(7)
                   for lo in range(m + 1) for hi in range(lo, m + 1)]
         assert len(slices) ** 2 == 7056
         for first, second in itertools.product(slices, repeat=2):
-            assert _slice_product(*first, *second) == plain_convolve(first[2], second[2]), \
-                (first, second)
+            product = plain_convolve(_comb_row(*first), _comb_row(*second))
+            for core in (1, -6):
+                expected = [core * v for v in product]
+                assert _slice_product(core, first, second) == expected, (core, first, second)
+                assert _in_decimal(_slice_product, core, first, second) == expected, \
+                    (core, first, second)
 
     @settings(max_examples=40, deadline=None)
-    @given(first=_row_slices(400), second=_row_slices(400))
-    @example(first=_row_slice(300, 151, 300), second=_row_slice(299, 150, 299))
-    @example(first=_row_slice(400, 0, 400), second=_row_slice(1, 1, 1))
-    def test_slices_of_hundreds_of_seats(self, first, second):
-        assert _slice_product(*first, *second) == _convolve(first[2], second[2])
+    @given(first=_slices(400), second=_slices(400), core=st.integers(-10 ** 60, 10 ** 60))
+    @example(first=(300, 151, 300), second=(299, 150, 299), core=math.comb(99, 50))
+    @example(first=(400, 0, 400), second=(1, 1, 1), core=1)
+    @example(first=(400, 10, 390), second=(350, 20, 300), core=-7)
+    def test_slices_of_hundreds_of_seats(self, first, second, core):
+        expected = [core * v for v in plain_convolve(_comb_row(*first), _comb_row(*second))]
+        assert _slice_product(core, first, second) == expected
+        assert _in_decimal(_slice_product, core, first, second) == expected
 
     def test_past_the_int_string_digit_limit(self, default_digit_limit):
-        # C(15001, k) near the middle has about 4514 digits; the recurrence
-        # converts no integer to a string.
-        first, second = _row_slice(15001, 7450, 7549), _row_slice(15001, 7000, 7099)
-        out = _slice_product(*first, *second)
-        assert out == plain_convolve(first[2], second[2])
-        assert max(out) > 10 ** 9000
+        # C(15001, k) near the middle has about 4514 digits, and with the core
+        # C(15000, 7500) each coefficient about 13,500; neither run converts an
+        # int to a string, and the Decimal run's digits print under the limit.
+        first, second, core = (15001, 7450, 7549), (15001, 7000, 7099), math.comb(15000, 7500)
+        out = _slice_product(core, first, second)
+        assert out == [core * v for v in plain_convolve(_comb_row(*first), _comb_row(*second))]
+        assert max(out) > 10 ** 13000
+        digits = _in_decimal(_slice_product, core, first, second)
+        assert digits == out
+        assert len(str(digits[0])) > 13000
+        if hasattr(sys, "get_int_max_str_digits"):
+            with pytest.raises(ValueError):
+                str(out[0])
 
-    @pytest.mark.parametrize("entry", [0, -1])
-    def test_slice_that_is_not_binomial_raises(self, entry):
-        # One entry off by one makes some step's division inexact, or the
-        # last coefficient wrong.
-        m, lo, row = _row_slice(12, 3, 9)
-        row[entry] += 1
-        with pytest.raises(ArithmeticError, match="slice product"):
-            _slice_product(m, lo, row, *_row_slice(10, 2, 8))
+    @pytest.mark.parametrize("num", [int, Decimal])
+    @pytest.mark.parametrize("wrong", [(12, 3), (10, 2), (12, 9), (10, 8)])
+    def test_seed_that_is_not_binomial_raises(self, monkeypatch, num, wrong):
+        # One seed binomial off by one makes some walk or step inexact, or
+        # some walk or the product end off its math.comb value.
+        _binomial_off_by_one(monkeypatch, *wrong)
+        with pytest.raises(ArithmeticError, match="walk along row|slice product"):
+            if num is Decimal:
+                _in_decimal(_slice_product, 1, (12, 3, 9), (10, 2, 8))
+            else:
+                _slice_product(1, (12, 3, 9), (10, 2, 8))
 
 
 class TestBoxCriticalVector:
@@ -395,3 +464,106 @@ class TestBoxUnionProperties:
         seats, boxes, axis = case
         assert box_critical_vector(seats, boxes, axis) == \
             box_union_critical_counts(seats, boxes, axis)
+
+
+def _as_str(spec, class_id):
+    return {k: str(v) for k, v in spec.critical_vector(class_id).items()}
+
+
+def _majority_chambers(*sizes):
+    return MulticamSpec(ChamberSpec(f"c{i}", m, m // 2 + 1) for i, m in enumerate(sizes))
+
+
+class TestCriticalDigits:
+    """The digits run equals ``str`` of the int run, size by size, in ascending order."""
+
+    @staticmethod
+    def _check(spec):
+        for class_id in spec.class_ids():
+            expected = _as_str(spec, class_id)
+            pairs = list(spec.critical_digits(class_id))
+            assert dict(pairs) == expected, (spec, class_id)
+            assert [k for k, _ in pairs] == sorted(expected)
+
+    def test_every_spec_of_up_to_three_chambers_of_six_seats(self):
+        chambers = [(m, q) for m in range(1, 7) for q in range(1, m + 1)]
+        for count in (1, 2, 3):
+            for picks in itertools.product(chambers, repeat=count):
+                self._check(MulticamSpec(ChamberSpec(f"c{i}", m, q)
+                                         for i, (m, q) in enumerate(picks)))
+
+    def test_every_golden_spec(self):
+        # Every spec file a golden command line reads and succeeds on.
+        golden = Path(__file__).parent / "golden"
+        entries = json.loads((golden / "manifest.json").read_text())
+        names = sorted({entry["argv"][1] for entry in entries if entry["exit"] == 0
+                        and entry["argv"][0] in ("analyze", "compare", "oracle")})
+        assert names == ["bicam.json", "over_bound.json", "tricam.json", "twins.json",
+                         "us_full.json", "us_novp.json", "us_vp.json"]
+        for name in names:
+            self._check(load_spec_file(str(golden / name)))
+
+    @pytest.mark.parametrize("changes", [
+        {}, {"senate_quota": 60}, {"senate_quota": 66}, {"senate_quota": 67},
+        {"senate_quota": 100}, {"senate_override": 51}, {"senate_override": 100},
+        {"senate_quota": 80, "senate_override": 60},
+    ])
+    def test_us_system_and_its_quota_variants(self, changes):
+        self._check(UsSpec().replace(**changes))
+
+    def test_four_chambers_on_the_kronecker_path(self, monkeypatch):
+        spec = _majority_chambers(120, 121, 122, 123)
+        names, seats = zip(*spec.axes())
+        for axis, class_id in enumerate(names):
+            assert _kronecker(_terms(seats, spec.boxes(), axis))
+        self._check(spec)
+        # Handed the int counts, it converts them rather than counting again.
+        vectors = {class_id: spec.critical_vector(class_id) for class_id in names}
+        monkeypatch.setattr(counting, "_counts", None)
+        for class_id, vec in vectors.items():
+            assert dict(spec.critical_digits(class_id, vec)) == {k: str(v) for k, v in vec.items()}
+
+    def test_a_short_third_slice_is_counted_in_decimal(self):
+        spec = _majority_chambers(300, 250, 40, 30)
+        names, seats = zip(*spec.axes())
+        assert not any(_kronecker(_terms(seats, spec.boxes(), axis))
+                       for axis in range(len(names)))
+        self._check(spec)
+
+    @settings(max_examples=15, deadline=None)
+    @given(chambers=st.lists(st.integers(100, 400).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(1, m))), min_size=1, max_size=3))
+    def test_specs_of_hundreds_of_seats(self, chambers):
+        self._check(MulticamSpec(ChamberSpec(f"c{i}", m, q) for i, (m, q) in enumerate(chambers)))
+
+    @settings(max_examples=10, deadline=None)
+    @given(senate=st.integers(3, 120), house=st.integers(3, 300), data=st.data())
+    def test_us_specs_of_hundreds_of_seats(self, senate, house, data):
+        quota = lambda m: data.draw(st.integers(1, m))  # noqa: E731
+        self._check(UsSpec(senate, house, quota(senate), quota(house), quota(senate),
+                           quota(house), data.draw(st.booleans()), data.draw(st.booleans())))
+
+
+class TestDigitsIgnoreCallerSettings:
+    # C(15000, 7500) has 4514 digits, past the default int-string limit; the
+    # second spec's 'hall' counts also walk, so a run that rounds goes wrong.
+    ONE = MulticamSpec([ChamberSpec("hall", 15001, 7501)])
+    TWO = MulticamSpec([ChamberSpec("hall", 15001, 7501), ChamberSpec("annex", 3, 2)])
+
+    def test_default_int_string_digit_limit(self, default_digit_limit):
+        digits = {spec: dict(spec.critical_digits("hall")) for spec in (self.ONE, self.TWO)}
+        with _digit_limit(0):
+            assert digits == {spec: _as_str(spec, "hall") for spec in (self.ONE, self.TWO)}
+        assert [len(v) for v in digits[self.ONE].values()] == [4514]
+        assert len(digits[self.TWO]) == 2
+
+    def test_caller_decimal_context_with_traps_cleared(self):
+        spec = _majority_chambers(300, 250, 40)
+        with decimal.localcontext(decimal.Context(prec=5, traps=[])):
+            digits = {class_id: dict(spec.critical_digits(class_id))
+                      for class_id in spec.class_ids()}
+            digits["hall"] = dict(self.TWO.critical_digits("hall"))
+        with _digit_limit(0):
+            expected = {class_id: _as_str(spec, class_id) for class_id in spec.class_ids()}
+            expected["hall"] = _as_str(self.TWO, "hall")
+        assert digits == expected
