@@ -4,14 +4,19 @@ Reports are built as ordered sections of rows holding pre-formatted exact
 values (integers and rationals as strings), so every renderer emits byte-for-
 byte identical output for identical inputs.  The CSV schema is fixed at six
 columns: section, field1, field2, field3, value, approx.
+
+The JSON writer writes the document's fixed shape (``meta`` when kept, then
+``sections`` with id, title, headers and rows) directly, as small pieces joined
+once; a property test checks it byte for byte against ``json.dumps(indent=2)``.
+JSON and CSV pass a cell of ASCII letters and digits through as it is.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from decimal import MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 ELIDE_DIGITS = 120
 
@@ -64,6 +69,8 @@ def approx_int(value: int) -> str:
 
 
 def _csv_quote(cell: str) -> str:
+    if cell.isascii() and cell.encode().isalnum():  # ASCII letters and digits: nothing to quote
+        return cell
     if any(ch in cell for ch in ",\"\n\r"):
         return '"' + cell.replace('"', '""') + '"'
     return cell
@@ -82,6 +89,8 @@ def render_table(report: Report) -> str:
         for row in sec.rows:
             for i, cell in enumerate(row):
                 widths[i] = max(widths[i], len(cell))
+        if widths:
+            widths[-1] = 0  # the last column is not padded, so rstrip copies nothing
         lines.append("  ".join(h.ljust(w) for h, w in zip(sec.headers, widths)).rstrip())
         for row in sec.rows:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
@@ -106,23 +115,51 @@ def render_csv(report: Report) -> str:
                 emit(sec.id, row[:-2], row[-2], row[-1])
             else:
                 emit(sec.id, row[:-1], row[-1], "")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the report
+    return "\n".join(lines)
+
+
+def _json_strings(out: list[str], items: tuple[str, ...], indent: str) -> None:
+    """Append ``items`` as a JSON array of strings, laid out as by ``json.dumps(indent=2)``."""
+    if not items:
+        out.append("[]")
+        return
+    sep, next_sep = "[\n  " + indent, ",\n  " + indent
+    for item in items:
+        # JSON escapes no ASCII letter or digit; bytes.isalnum reads them fastest.
+        if item.isascii() and item.encode().isalnum():
+            out += (sep, '"', item, '"')
+        else:
+            out += (sep, _json_str(item))
+        sep = next_sep
+    out += ("\n", indent, "]")
 
 
 def render_json(report: Report) -> str:
-    doc: dict = {}
+    out = ["{"]
     if report.meta is not None:
-        doc["meta"] = dict(report.meta)
-    doc["sections"] = [
-        {
-            "id": sec.id,
-            "title": sec.title,
-            "headers": list(sec.headers),
-            "rows": [list(row) for row in sec.rows],
-        }
-        for sec in report.sections
-    ]
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+        meta = dict(report.meta)  # a repeated key keeps its first place and last value
+        sep = '\n  "meta": {\n    '
+        for key, value in meta.items():
+            out += (sep, _json_str(key), ": ", _json_str(value))
+            sep = ",\n    "
+        out.append("\n  }," if meta else '\n  "meta": {},')
+    out.append('\n  "sections": ')
+    sep = "[\n    {"
+    for sec in report.sections:
+        out += (sep, '\n      "id": ', _json_str(sec.id), ',\n      "title": ',
+                _json_str(sec.title), ',\n      "headers": ')
+        _json_strings(out, sec.headers, "      ")
+        out.append(',\n      "rows": ')
+        row_sep = "[\n        "
+        for row in sec.rows:
+            out.append(row_sep)
+            _json_strings(out, row, "        ")
+            row_sep = ",\n        "
+        out.append("\n      ]\n    }" if sec.rows else "[]\n    }")
+        sep = ",\n    {"
+    out.append("\n  ]\n}\n" if report.sections else "[]\n}\n")
+    return "".join(out)
 
 
 def render(report: Report, fmt: str) -> str:
