@@ -116,7 +116,7 @@ def _vector_section(report: Report, spec: Legislature, vectors: dict[str, CountV
     headers = ("class", "size", "count") + (("approx",) if approx else ())
     sec = report.section("critical_vectors", "critical numbers", headers)
     for class_id, vec in vectors.items():
-        for k, digits in spec.critical_digits(class_id, vec):
+        for k, digits in spec.critical_digits(class_id):
             row = (class_id, str(k), format_digits(digits, elide))
             if approx:
                 row += (approx_int(vec[k]),)
@@ -145,8 +145,8 @@ def _vectors(spec: Legislature) -> dict[str, CountVector]:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.specfile)
-    vectors = _vectors(spec)
     index_name, w = _resolve_index(args.index, spec.total_players)
+    vectors = _vectors(spec)
     report = Report(_meta(args, "analyze", spec))
     _spec_section(report, spec)
     elide = args.format != "json" and not args.full
@@ -338,9 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     # Counts of chambers past about 14,000 seats have more digits than the
     # interpreter's default limit on int-to-string conversion (4300, where the
     # limit exists).  Reports print counts from their decimal digits run,
-    # which the limit does not touch, but index values, --approx and a class
-    # on the Kronecker path go through int-to-string conversion, so the limit
-    # is lifted while the command runs and restored for in-process callers.
+    # which the limit does not touch, but index values and --approx go through
+    # int-to-string conversion, so the limit is lifted while the command runs
+    # and restored for in-process callers.
     digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)

@@ -8,47 +8,36 @@ binomial on the player's own axis, times the product of the other axes'
 binomial row slices S(t) = sum_{lo<=x<=hi} C(m, x) t^x, so every count is
 an exact integer.
 
-No row is built whole: a slice, scaled, is one ratio walk
-c <- c (m - x) / (x + 1) from its first entry, every division checked and
-the last entry compared with ``math.comb`` (``_walk``).  A term of one
-slice is one walk seeded with the core.  A slice satisfies
+No row is built whole.  A slice satisfies
 (1+t) S' - m S = lo C(m, lo) t^(lo-1) - (m-hi) C(m, hi) t^hi, so the
-product of two slices has a first-order recurrence whose every step is a
-small-integer multiply and an exact division, its right side four walks
-seeded with the core (``_slice_product``).  So no step of a term of one or
-two slices multiplies two big numbers.  Any further slice is convolved into
-the product of the two longest by ``_convolve``, and the core multiplied in
-last: entry by entry when a row is short, and by Kronecker substitution when
-both are longer than ``KRONECKER_MIN_LEN``, so only for a term with three or
-more other slices that long.
+product of a set T of slices has a first-order recurrence whose right side
+is products of its subsets, each a run of the same recurrence, down to
+single slices, which are ratio walks c <- c (m - x) / (x + 1) (``_product``).
+Every step of every run is a small-integer multiply, an addition and a
+checked exact division, so no step multiplies two big numbers, and every
+run's last entry is compared with ``math.comb``.  Runs grow as 2^|T|, so
+``_counts`` lets a slice join T only while it is long enough to pay for the
+doubling, and convolves the rest in entry by entry (``_convolve``).
 
-``box_critical_digits`` runs the same walks in ``decimal`` under
+``box_critical_digits`` runs the same arithmetic in ``decimal`` under
 ``_EXACT``, which traps every rounding.  Every step is then linear in the
 digits, as ``str`` of an integral ``Decimal`` is, where ``str`` of an
-``int`` is quadratic; reports print from these digits.  A class on the
-Kronecker path is not multiplied again in ``decimal``: its digits are
-``str`` of its int counts.  ``SeatGame``, the base of both spec types,
-derives a spec's classes, critical vectors and their digits from its
-``axes()`` and ``boxes()``.
+``int`` is quadratic; reports print from these digits.  ``SeatGame``, the
+base of both spec types, derives a spec's classes, critical vectors and
+their digits from its ``axes()`` and ``boxes()``.
 """
 
 from __future__ import annotations
 
 import decimal
-import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from decimal import Decimal
 from math import comb, prod
 
 from .combinat import FrozenValue, binomial
 
-# Rows up to this many entries are convolved entry by entry; when both rows
-# are longer, one big multiplication of the packed rows is faster (measured
-# crossovers lie between 16 and 64 entries).
-KRONECKER_MIN_LEN = 48
-
-# Big enough for any product that fits in memory, and every loss of digits
-# raises: the packed product is exact or the call fails.
+# Big enough for any count that fits in memory, and every loss of digits
+# raises: the digits run is exact or the call fails.
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
     traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
@@ -105,43 +94,13 @@ class CountVector:
         return max(self._counts) if self._counts else None
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """Exact convolution of two non-empty rows of non-negative integers."""
-    if min(len(a), len(b)) <= KRONECKER_MIN_LEN:
-        out = [0] * (len(a) + len(b) - 1)
-        width = len(b)
-        for i, x in enumerate(a):
-            out[i:i + width] = [o + x * y for o, y in zip(out[i:i + width], b)]
-        return out
-    return _kronecker_convolve(a, b)
-
-
-def _kronecker_convolve(a: list[int], b: list[int]) -> list[int]:
-    """Kronecker substitution: write each row as the base-10^w digits of one
-    number, multiply once, and read the convolution off the product's digits.
-
-    Every output entry is at most max(a) * max(b) * min(len(a), len(b)),
-    which is below 10^w, so no entry carries into the next.  The packed rows
-    are multiplied in ``decimal`` (a number-theoretic transform for large
-    operands).  Entries and chunks of w digits convert with ``str`` and
-    ``int`` while w is within the interpreter's limit on int-string
-    conversion; past it they go through ``Decimal``, which has no limit but
-    converts in quadratic time.
-    """
-    bits = (max(a) * max(b) * min(len(a), len(b))).bit_length()
-    w = bits * 30103 // 100000 + 1  # 0.30103 > log10(2), so 10^w > 2^bits
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if not limit or w <= limit:
-        to_str, to_int = str, int
-    else:
-        to_str, to_int = (lambda x: str(Decimal(x))), (lambda s: int(Decimal(s)))
-
-    def pack(row: list[int]) -> Decimal:
-        return Decimal("".join(to_str(x).zfill(w) for x in row))
-
-    n_out = len(a) + len(b) - 1
-    digits = str(_EXACT.multiply(pack(a), pack(b))).zfill(n_out * w)
-    return [to_int(digits[i:i + w]) for i in range(0, n_out * w, w)]
+def _convolve(a: list, b: list) -> list:
+    """Exact convolution of two non-empty rows, entry by entry."""
+    out = [0] * (len(a) + len(b) - 1)
+    width = len(b)
+    for i, x in enumerate(a):
+        out[i:i + width] = [o + x * y for o, y in zip(out[i:i + width], b)]
+    return out
 
 
 _Box = tuple[tuple[int, int], ...]
@@ -149,74 +108,102 @@ _Slice = tuple[int, int, int]  # (m, lo, hi): C(m, lo..hi)
 _Term = tuple[int, int, list[_Slice]]  # (first size, core, slices)
 
 
-def _walk(scale, m: int, lo: int, hi: int) -> list:
-    """[scale C(m, lo), ..., scale C(m, hi)]: one ratio walk c <- c (m - x) / (x + 1)
-    from scale C(m, lo), with C(m, lo) from ``binomial``.
+def _plan(slices: tuple[_Slice, ...], seed, delay: int, runs: list, index: dict) -> int:
+    """Place in ``runs`` of the run of ``slices`` seeded with ``seed`` and
+    started ``delay`` steps late, added after every run it reads.
 
-    Each step is a small-integer multiply and a division by a small integer,
-    in ``int``, or in ``Decimal`` under ``_EXACT`` when ``scale`` is a
-    ``Decimal``.  A remainder, or a last entry other than scale C(m, hi) by
-    ``math.comb``, raises ``ArithmeticError``.
-
-    >>> _walk(2, 4, 1, 4)
-    [8, 12, 8, 2]
+    A run is (delay, length, first exponent, sum of the m_i, first and last
+    coefficient, places of the runs it reads, slices).  Its first coefficient
+    is seed C(m_1, lo_1) ... C(m_r, lo_r), its last seed C(m_1, hi_1) ...
+    C(m_r, hi_r) by ``math.comb``.  A run is fixed by its slices, seed and
+    delay, so equal runs are planned once (``index``).
     """
-    num = type(scale)
-    c = scale * num(binomial(m, lo))
-    out = [c]
-    for x in range(lo, hi):
-        c, rem = divmod(c * (m - x), x + 1)
-        if rem:
-            raise ArithmeticError(f"walk along row {m} is not exact at C({m}, {x + 1})")
-        out.append(c)
-    if c != scale * num(comb(m, hi)):
-        raise ArithmeticError(f"walk along row {m} ends off C({m}, {hi})")
-    return out
+    key = (slices, seed, delay)
+    if key not in index:
+        num = type(seed)
+        reads = []
+        if len(slices) > 1:
+            for i, (m, lo, hi) in enumerate(slices):
+                rest = slices[:i] + slices[i + 1:]
+                # R_i P_{T-i}: t^(lo-1) reads the run one step ahead, t^hi
+                # one started hi - lo + 1 steps late.
+                for c, x, lag in ((lo, lo, 0), (hi - m, hi, hi - lo + 1)):
+                    if c:
+                        child_seed = seed * num(c * binomial(m, x))
+                        reads.append(_plan(rest, child_seed, delay + lag, runs, index))
+        first, last = seed, seed
+        for m, lo, hi in slices:
+            first *= num(binomial(m, lo))
+            last *= num(comb(m, hi))
+        index[key] = len(runs)
+        runs.append((delay, sum(hi - lo for _, lo, hi in slices) + 1,
+                     sum(lo for _, lo, _ in slices), sum(m for m, _, _ in slices),
+                     first, last, reads, slices))
+    return index[key]
 
 
-def _slice_product(core, first: _Slice, second: _Slice) -> list:
-    """Coefficients lo1+lo2 .. hi1+hi2 of core S1 S2, where ``first`` and
-    ``second`` are (m_i, lo_i, hi_i) and S_i(t) = sum_{lo_i<=x<=hi_i} C(m_i, x) t^x.
+def _product(seed, slices: Sequence[_Slice]) -> list:
+    """Coefficients lo_1+...+lo_r .. hi_1+...+hi_r of seed S_1 ... S_r, where
+    the slices are (m_i, lo_i, hi_i) and S_i(t) = sum_{lo_i<=x<=hi_i} C(m_i, x) t^x.
 
     Each slice satisfies (1+t) S_i' - m_i S_i = R_i with R_i = lo_i C(m_i, lo_i)
-    t^(lo_i-1) - (m_i-hi_i) C(m_i, hi_i) t^hi_i, so P = core S1 S2 satisfies
-    (1+t) P' - (m1+m2) P = core (R1 S2 + R2 S1), and coefficient by coefficient
+    t^(lo_i-1) - (m_i-hi_i) C(m_i, hi_i) t^hi_i, so for a set T of slices
+    P_T = prod_{i in T} S_i satisfies (1+t) P_T' - (sum_{i in T} m_i) P_T =
+    sum_{i in T} R_i P_{T-i}, and coefficient by coefficient
 
-        (j+1) P[j+1] = (m1+m2-j) P[j] + core [R1 S2 + R2 S1]_j
+        (j+1) P_T[j+1] = (M_T - j) P_T[j] + [sum_{i in T} R_i P_{T-i}]_j.
 
-    from P[lo1+lo2] = core C(m1, lo1) C(m2, lo2).  Each of the right side's
-    (up to) four rows is one checked walk (``_walk``) along one slice, scaled
-    by the monomial's small factor, the core and the other slice's binomial,
-    so no step multiplies two big numbers.  A remainder, or a last
-    coefficient other than core C(m1, hi1) C(m2, hi2) by ``math.comb``,
-    raises ``ArithmeticError``.  ``core`` is an ``int``, or a ``Decimal``
-    under ``_EXACT``, and so is every coefficient.
+    Each R_i P_{T-i} is a run of the same recurrence over T-i, seeded with the
+    seed times the monomial's coefficient; a run of one slice reads nothing:
+    it is the ratio walk c <- c (m - x) / (x + 1).  All runs step together,
+    each after the runs it reads, so only the newest coefficient of each is
+    held.  Every step is a small-integer multiply, an addition and a
+    division by a small integer, in ``int``, or in ``Decimal`` under
+    ``_EXACT`` when ``seed`` is a ``Decimal``.  A remainder, or a run's last
+    coefficient other than its ``math.comb`` value, raises
+    ``ArithmeticError``.  A slice whose R_i is one monomial, as a quota..size
+    slice's is, doubles the runs, one with two monomials at most triples
+    them, and a full row (R_i = 0) adds none.
 
-    >>> _slice_product(1, (3, 1, 2), (2, 0, 2))
+    >>> _product(2, [(4, 1, 4)])
+    [8, 12, 8, 2]
+    >>> _product(1, [(3, 1, 2), (2, 0, 2)])
     [3, 9, 9, 3]
     """
-    (m1, lo1, hi1), (m2, lo2, hi2) = first, second
-    num = type(core)
-    len1, len2 = hi1 - lo1 + 1, hi2 - lo2 + 1
-    # rhs[i] = core [R1 S2 + R2 S1] at t^(lo1+lo2+i), built one shifted row at a time.
-    rhs = [0] * (len1 + len2 - 1)
-    for c, (m, x), along, skip, start in (
-            (lo1, (m1, lo1), second, 1, 0), (hi1 - m1, (m1, hi1), second, 0, len1 - 1),
-            (lo2, (m2, lo2), first, 1, 0), (hi2 - m2, (m2, hi2), first, 0, len2 - 1)):
-        if c:
-            row = _walk(c * core * num(binomial(m, x)), *along)[skip:]
-            end = start + len(row)
-            rhs[start:end] = [r + y for r, y in zip(rhs[start:end], row)]
-    p = core * num(binomial(m1, lo1)) * num(binomial(m2, lo2))
-    out = [p]
-    for j, r in zip(range(lo1 + lo2, hi1 + hi2), rhs):
-        p, rem = divmod((m1 + m2 - j) * p + r, j + 1)
+    runs: list = []
+    _plan(tuple(slices), seed, 0, runs, {})
+    values = [0] * len(runs)
+    rounds = max(run[0] + run[1] for run in runs) + 1  # + 1: every run's end checked
+    steps = [_steps(k, values, rounds, *run) for k, run in enumerate(runs)]
+    out = [values[-1] for _ in zip(*steps)]  # each round steps every run, in plan order
+    return out[:runs[-1][1]]
+
+
+def _steps(k: int, values: list, rounds: int, delay: int, n: int, first: int, total: int,
+           start, end, reads: list[int], slices: tuple[_Slice, ...]) -> Iterator[None]:
+    """One run of ``_product`` over ``rounds`` steps, one coefficient per step,
+    kept in ``values[k]`` and read there from ``values[reads]``; 0 before and after."""
+    name = f"walk along row {slices[0][0]}" if len(slices) == 1 else "slice product"
+    get = values.__getitem__
+    for _ in range(delay):
+        yield
+    values[k] = v = start
+    yield
+    for j in range(first, first + n - 1):
+        v *= total - j
+        if reads:
+            v += sum(map(get, reads))
+        v, rem = divmod(v, j + 1)
         if rem:
-            raise ArithmeticError(f"slice product step {j + 1} is not exact")
-        out.append(p)
-    if p != core * num(comb(m1, hi1)) * num(comb(m2, hi2)):
-        raise ArithmeticError(f"slice product ends off C({m1}, {hi1}) C({m2}, {hi2})")
-    return out
+            raise ArithmeticError(f"{name} is not exact at t^{j + 1}")
+        values[k] = v
+        yield
+    if v != end:
+        ends = " ".join(f"C({m}, {hi})" for m, _, hi in slices)
+        raise ArithmeticError(f"{name} ends off {ends}")
+    values[k] = 0
+    for _ in range(rounds - delay - n):
+        yield
 
 
 def _signed_meets(boxes: Iterable[_Box]) -> dict[_Box, int]:
@@ -284,32 +271,32 @@ def _terms(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int, int]]],
     return terms
 
 
-def _kronecker(terms: list[_Term]) -> bool:
-    """Whether ``_convolve`` multiplies some term by Kronecker substitution: the
-    product of a term's two longest slices is at least as long as any other
-    slice, so exactly when its third-longest is longer than ``KRONECKER_MIN_LEN``."""
-    return any(len(slices) > 2 and slices[2][2] - slices[2][1] >= KRONECKER_MIN_LEN
-               for _, _, slices in terms)
-
-
 def _counts(terms: list[_Term], num: type) -> dict:
     """Every term summed, by size, in the number type ``num``: ``int``, or
-    ``Decimal`` under ``_EXACT``.  A term of no slice is its core; one or two
-    slices are walked with the core as their seed's scale."""
+    ``Decimal`` under ``_EXACT``.
+
+    A slice of one entry is a factor of the core.  The others, longest first,
+    join the set ``_product`` multiplies by its recurrence while the k-th
+    such slice has at least 2^(k-1) entries, since each doubles the runs; a
+    full row (R = 0) joins without a run of its own.  The remaining short
+    slices are convolved into that product entry by entry.
+    """
     counts: dict = {}
     for first, core, slices in terms:
-        core = num(core)
-        # Past two slices the core is multiplied in last: as a seed it would
-        # widen every entry that ``_convolve`` multiplies.
-        scale = core if len(slices) <= 2 else num(1)
-        if len(slices) >= 2:
-            rest = _slice_product(scale, *slices[:2])
-        else:
-            rest = _walk(scale, *slices[0]) if slices else [scale]
-        for m, lo, hi in slices[2:]:
-            rest = _convolve(rest, _walk(num(1), m, lo, hi))
-        if scale is not core:
-            rest = [core * v for v in rest]
+        seed, joint, short, runs = num(core), [], [], 1
+        for m, lo, hi in slices:
+            if lo == hi:
+                seed *= num(binomial(m, lo))
+            elif (lo, hi) == (0, m):
+                joint.append((m, lo, hi))
+            elif hi - lo + 1 >= runs:
+                joint.append((m, lo, hi))
+                runs *= 2
+            else:
+                short.append((m, lo, hi))
+        rest = _product(seed, joint)
+        for m, lo, hi in short:
+            rest = _convolve(rest, _product(num(1), [(m, lo, hi)]))
         for k, v in enumerate(rest, first):
             counts[k] = counts.get(k, 0) + v
     return counts
@@ -327,27 +314,18 @@ def box_critical_vector(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int
 
 
 def box_critical_digits(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int, int]]],
-                        axis: int, vector: CountVector | None = None
-                        ) -> Iterator[tuple[int, str]]:
+                        axis: int) -> Iterator[tuple[int, str]]:
     """``box_critical_vector``'s counts as (size, decimal digits), by ascending size.
 
-    The same walks run in ``decimal`` under ``_EXACT``, whose every step is
+    The same runs go in ``decimal`` under ``_EXACT``, whose every step is
     linear in the digits, as ``str`` of an integral ``Decimal`` is; only the
     seeds and the checked ends convert from ``int``.  The caller's decimal
     context and int-string digit limit play no part.  Each count's digits are
     made as its pair is taken and the count dropped, so a caller that elides
-    them never holds a class's digits at once.  A class whose terms take the
-    Kronecker path is not multiplied again in ``decimal``: its counts,
-    ``vector`` when given (the caller's copy of them), go through ``str``, so
-    past the interpreter's int-string digit limit that raises ``ValueError``.
+    them never holds a class's digits at once.
     """
-    terms = _terms(seats, boxes, axis)
-    if _kronecker(terms):
-        vector = vector if vector is not None else CountVector(_counts(terms, int))
-        yield from ((k, str(v)) for k, v in vector.items())
-        return
     with decimal.localcontext(_EXACT):
-        counts = _counts(terms, Decimal)
+        counts = _counts(_terms(seats, boxes, axis), Decimal)
     for k in sorted(counts):
         v = counts.pop(k)
         if v:
@@ -386,10 +364,7 @@ class SeatGame(FrozenValue):
         """Exact critical numbers of one player of the class, for every size."""
         return box_critical_vector(*self._box_args(class_id))
 
-    def critical_digits(self, class_id: str,
-                        vector: CountVector | None = None) -> Iterator[tuple[int, str]]:
+    def critical_digits(self, class_id: str) -> Iterator[tuple[int, str]]:
         """``critical_vector(class_id)``'s counts as (size, decimal digits), by
-        ascending size, in time linear in the digits (``box_critical_digits``);
-        ``vector``, the class's critical vector if the caller holds it, saves
-        recounting it on the Kronecker path."""
-        return box_critical_digits(*self._box_args(class_id), vector)
+        ascending size, in time linear in the digits (``box_critical_digits``)."""
+        return box_critical_digits(*self._box_args(class_id))

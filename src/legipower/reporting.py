@@ -8,6 +8,7 @@ columns: section, field1, field2, field3, value, approx.
 The JSON writer writes the document's fixed shape (``meta`` when kept, then
 ``sections`` with id, title, headers and rows) directly, as small pieces joined
 once; a property test checks it byte for byte against ``json.dumps(indent=2)``.
+The CSV writer likewise appends cells and separators to one list, joined once.
 JSON and CSV pass a cell of ASCII letters and digits through as it is.
 """
 
@@ -99,24 +100,21 @@ def render_table(report: Report) -> str:
 
 
 def render_csv(report: Report) -> str:
-    lines = [CSV_HEADER]
-
-    def emit(section: str, fields: tuple[str, ...], value: str, approx: str) -> None:
-        padded = (list(fields) + ["", "", ""])[:3]
-        lines.append(",".join(_csv_quote(c) for c in (section, *padded, value, approx)))
-
-    if report.meta is not None:
-        for key, value in report.meta:
-            emit("meta", (key,), value, "")
-    for sec in report.sections:
-        has_approx = sec.headers and sec.headers[-1] == "approx"
-        for row in sec.rows:
-            if has_approx:
-                emit(sec.id, row[:-2], row[-2], row[-1])
-            else:
-                emit(sec.id, row[:-1], row[-1], "")
-    lines.append("")  # the final newline, without copying the report
-    return "\n".join(lines)
+    out = [CSV_HEADER]
+    sections = [] if report.meta is None else [("meta", False, report.meta)]
+    sections += [(sec.id, bool(sec.headers) and sec.headers[-1] == "approx", sec.rows)
+                 for sec in report.sections]
+    for section, has_approx, rows in sections:
+        for row in rows:
+            # section, three fields padded with empty cells, value, approx
+            fields = row[:-2 if has_approx else -1][:3]
+            out += ("\n", _csv_quote(section))
+            for cell in fields:
+                out += (",", _csv_quote(cell))
+            out += (",,,,"[len(fields):], _csv_quote(row[-2] if has_approx else row[-1]), ",",
+                    _csv_quote(row[-1]) if has_approx else "")
+    out.append("\n")
+    return "".join(out)
 
 
 def _json_strings(out: list[str], items: tuple[str, ...], indent: str) -> None:

@@ -122,6 +122,24 @@ class TestAnalyze:
         assert code == 2
         assert "normalise" in err
 
+    @pytest.mark.parametrize("selector, message", [
+        ("owen", "error: unknown index selector 'owen'; use banzhaf, shapley"),
+        ("pointmass:x", "error: pointmass size must be an integer, got 'x'"),
+        ("file:{tmp}/missing.txt", "error: {tmp}/missing.txt: [Errno 2] No such file"),
+    ])
+    def test_index_selector_is_resolved_before_any_count(self, capsys, monkeypatch, write_spec,
+                                                         tmp_path, selector, message):
+        from legipower import counting
+
+        def counted(spec, class_id):
+            raise RuntimeError("a critical vector was built before the selector was resolved")
+
+        monkeypatch.setattr(counting.SeatGame, "critical_vector", counted)
+        code, out, err = _run(capsys, "analyze", write_spec(BICAM), "--index",
+                              selector.format(tmp=tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(message.format(tmp=tmp_path))
+
     def test_table_output_elides_huge_counts(self, capsys, write_spec):
         path = write_spec(FULL_US)
         code, out, _ = _run(capsys, "analyze", path, "--no-meta")

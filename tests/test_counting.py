@@ -10,11 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from legipower import ChamberSpec, CountVector, MulticamSpec, UsSpec, binomial, binomial_row
+from legipower import ChamberSpec, CountVector, MulticamSpec, UsSpec, binomial
 from legipower import counting
-from legipower.counting import (
-    _EXACT, KRONECKER_MIN_LEN, _convolve, _kronecker, _slice_product, _terms, _walk,
-    box_critical_vector)
+from legipower.counting import _EXACT, _convolve, _product, box_critical_vector
 from legipower.specfile import load_spec_file
 from helpers import box_union_critical_counts, plain_convolve
 
@@ -184,41 +182,16 @@ def default_digit_limit():
 
 
 class TestConvolve:
-    CUT = KRONECKER_MIN_LEN
-
     @settings(max_examples=60, deadline=None)
-    @given(a=_rows(3 * CUT), b=_rows(3 * CUT))
+    @given(a=_rows(144), b=_rows(144))
     @example(a=[5], b=[7])
     @example(a=[3], b=[1] * 200)
-    @example(a=[0] * (CUT + 1), b=[0] * (CUT + 1))
-    @example(a=[2] * CUT, b=[3] * 400)
-    @example(a=[2] * (CUT + 1), b=[3] * (CUT + 1))
-    @example(a=[10 ** 30 - 1] * 400, b=[10 ** 30 - 1] * (CUT + 1))
+    @example(a=[0] * 49, b=[0] * 49)
+    @example(a=[2] * 48, b=[3] * 400)
+    @example(a=[2] * 49, b=[3] * 49)
+    @example(a=[10 ** 30 - 1] * 400, b=[10 ** 30 - 1] * 49)
     @example(a=[2 ** 100 - 1] * 64, b=[0, 2 ** 100 - 1] * 40)
     def test_equals_the_double_loop(self, a, b):
-        assert _convolve(a, b) == plain_convolve(a, b)
-
-    def test_past_the_int_string_digit_limit(self, default_digit_limit):
-        # C(15001, k) near the middle has about 4514 digits.
-        row = binomial_row(15001)
-        a, b = row[7450:7550], row[7000:7100]
-        out = _convolve(a, b)
-        assert out == plain_convolve(a, b)
-        assert max(out) > 10 ** 9000
-        if hasattr(sys, "get_int_max_str_digits"):
-            with pytest.raises(ValueError):
-                str(max(out))
-
-    @pytest.mark.parametrize("row_len, below", [(7000, True), (7300, False)])
-    def test_either_side_of_the_int_string_digit_limit(self, default_digit_limit,
-                                                      row_len, below):
-        # Chunks of w digits are within the default 4300-digit limit at
-        # C(7000, k) near the middle and past it at C(7300, k).
-        row, length = binomial_row(row_len), self.CUT + 1
-        mid = row_len // 2 - length
-        a, b = row[mid:mid + length], row[mid + 10:mid + 10 + length]
-        w = (max(a) * max(b) * length).bit_length() * 30103 // 100000 + 1
-        assert (w < 4300) == below
         assert _convolve(a, b) == plain_convolve(a, b)
 
 
@@ -247,19 +220,24 @@ def _binomial_off_by_one(monkeypatch, n, k):
 
 
 class TestWalk:
+    """``_product`` of one slice: one ratio walk."""
+
     def test_every_scaled_slice_up_to_eight_seats(self):
         for m in range(9):
             for lo, hi in itertools.combinations_with_replacement(range(m + 1), 2):
                 expected = [-3 * v for v in _comb_row(m, lo, hi)]
-                assert _walk(-3, m, lo, hi) == expected, (m, lo, hi)
-                assert _in_decimal(_walk, -3, m, lo, hi) == expected, (m, lo, hi)
+                assert _product(-3, [(m, lo, hi)]) == expected, (m, lo, hi)
+                assert _in_decimal(_product, -3, [(m, lo, hi)]) == expected, (m, lo, hi)
 
     @pytest.mark.parametrize("num", [int, Decimal])
     def test_seed_that_is_not_binomial_raises(self, monkeypatch, num):
         # C(12, 3) + 1 = 221 = 13 * 17: 221 * 9 / 4 leaves a remainder.
         _binomial_off_by_one(monkeypatch, 12, 3)
-        with pytest.raises(ArithmeticError, match=r"walk along row 12 is not exact at C\(12, 4\)"):
-            _in_decimal(_walk, 1, 12, 3, 9) if num is Decimal else _walk(1, 12, 3, 9)
+        with pytest.raises(ArithmeticError, match=r"walk along row 12 is not exact at t\^4"):
+            if num is Decimal:
+                _in_decimal(_product, 1, [(12, 3, 9)])
+            else:
+                _product(1, [(12, 3, 9)])
 
     @pytest.mark.parametrize("num", [int, Decimal])
     def test_exact_walk_to_a_wrong_end_raises(self, monkeypatch, num):
@@ -267,58 +245,137 @@ class TestWalk:
         exact = counting.binomial
         monkeypatch.setattr(counting, "binomial", lambda a, b: 2 * exact(a, b))
         with pytest.raises(ArithmeticError, match=r"walk along row 6 ends off C\(6, 6\)"):
-            _in_decimal(_walk, 1, 6, 1, 6) if num is Decimal else _walk(1, 6, 1, 6)
+            if num is Decimal:
+                _in_decimal(_product, 1, [(6, 1, 6)])
+            else:
+                _product(1, [(6, 1, 6)])
 
 
-class TestSliceProduct:
-    def test_every_pair_of_slices_up_to_six_seats(self):
-        slices = [(m, lo, hi) for m in range(7)
-                  for lo in range(m + 1) for hi in range(lo, m + 1)]
-        assert len(slices) ** 2 == 7056
-        for first, second in itertools.product(slices, repeat=2):
-            product = plain_convolve(_comb_row(*first), _comb_row(*second))
-            for core in (1, -6):
-                expected = [core * v for v in product]
-                assert _slice_product(core, first, second) == expected, (core, first, second)
-                assert _in_decimal(_slice_product, core, first, second) == expected, \
-                    (core, first, second)
+def _product_reference(core, slices):
+    """``core`` times the slices' rows, convolved by ``plain_convolve``."""
+    row = [core]
+    for m, lo, hi in slices:
+        row = plain_convolve(row, _comb_row(m, lo, hi))
+    return row
+
+
+def _both_runs(core, slices):
+    """``_product`` in ``int`` and in ``Decimal``, checked equal."""
+    out = _product(core, slices)
+    assert _in_decimal(_product, core, slices) == out
+    return out
+
+
+class TestProduct:
+    SLICES = [(m, lo, hi) for m in range(6) for lo in range(m + 1) for hi in range(lo, m + 1)]
+
+    @pytest.mark.parametrize("num", [int, Decimal])
+    @pytest.mark.parametrize("core", [1, -6])
+    def test_every_set_of_up_to_three_slices_of_five_seats(self, num, core):
+        sets = [s for r in (1, 2, 3) for s in itertools.combinations(self.SLICES, r)]
+        assert len(sets) == 29316
+        for slices in sets:
+            out = _in_decimal(_product, core, slices) if num is Decimal else _product(core, slices)
+            assert out == _product_reference(core, slices), (core, slices)
+
+    def test_no_slice_is_the_core(self):
+        assert _product(-6, []) == [-6]
+        assert _in_decimal(_product, -6, []) == [-6]
+
+    def test_repeated_slices(self):
+        # Equal slices give equal runs, which are planned once.
+        for slices in ([(5, 2, 5)] * 4, [(4, 1, 3)] * 3 + [(3, 0, 3)], [(6, 2, 4), (6, 2, 4)]):
+            assert _both_runs(-3, slices) == _product_reference(-3, slices), slices
 
     @settings(max_examples=40, deadline=None)
-    @given(first=_slices(400), second=_slices(400), core=st.integers(-10 ** 60, 10 ** 60))
-    @example(first=(300, 151, 300), second=(299, 150, 299), core=math.comb(99, 50))
-    @example(first=(400, 0, 400), second=(1, 1, 1), core=1)
-    @example(first=(400, 10, 390), second=(350, 20, 300), core=-7)
-    def test_slices_of_hundreds_of_seats(self, first, second, core):
-        expected = [core * v for v in plain_convolve(_comb_row(*first), _comb_row(*second))]
-        assert _slice_product(core, first, second) == expected
-        assert _in_decimal(_slice_product, core, first, second) == expected
+    @given(slices=st.lists(_slices(300), min_size=1, max_size=5),
+           core=st.integers(-10 ** 60, 10 ** 60))
+    @example(slices=[(300, 151, 300), (299, 150, 299)], core=math.comb(99, 50))
+    @example(slices=[(400, 0, 400), (1, 1, 1)], core=1)
+    @example(slices=[(400, 10, 390), (350, 20, 300)], core=-7)
+    @example(slices=[(200, 101, 200), (199, 100, 199), (198, 100, 198), (197, 99, 197),
+                     (196, 99, 196)], core=1)
+    @example(slices=[(200, 10, 190), (150, 20, 100), (120, 60, 61), (100, 0, 100),
+                     (90, 45, 80)], core=-(10 ** 40))
+    def test_slices_of_hundreds_of_seats(self, slices, core):
+        assert _both_runs(core, slices) == _product_reference(core, slices)
 
-    def test_past_the_int_string_digit_limit(self, default_digit_limit):
-        # C(15001, k) near the middle has about 4514 digits, and with the core
-        # C(15000, 7500) each coefficient about 13,500; neither run converts an
-        # int to a string, and the Decimal run's digits print under the limit.
-        first, second, core = (15001, 7450, 7549), (15001, 7000, 7099), math.comb(15000, 7500)
-        out = _slice_product(core, first, second)
-        assert out == [core * v for v in plain_convolve(_comb_row(*first), _comb_row(*second))]
-        assert max(out) > 10 ** 13000
-        digits = _in_decimal(_slice_product, core, first, second)
+    def test_four_slices_past_the_int_string_digit_limit(self, default_digit_limit):
+        # The core C(15000, 7500) has 4514 digits and C(4000, k) near the middle
+        # about 1200, so each coefficient has about 9300; neither run converts
+        # an int to a string, and the Decimal run's digits print under the limit.
+        slices = [(4001, 1990, 2009), (4000, 1800, 1819), (3999, 2100, 2114), (3998, 2000, 2009)]
+        core = math.comb(15000, 7500)
+        out = _product(core, slices)
+        assert out == _product_reference(core, slices)
+        assert min(map(abs, out)) > 10 ** 9000
+        digits = _in_decimal(_product, core, slices)
         assert digits == out
-        assert len(str(digits[0])) > 13000
+        assert len(str(digits[0])) > 9000
         if hasattr(sys, "get_int_max_str_digits"):
             with pytest.raises(ValueError):
                 str(out[0])
 
     @pytest.mark.parametrize("num", [int, Decimal])
-    @pytest.mark.parametrize("wrong", [(12, 3), (10, 2), (12, 9), (10, 8)])
+    @pytest.mark.parametrize("wrong", [(12, 3), (10, 2), (9, 4), (12, 9), (10, 8), (9, 7)])
     def test_seed_that_is_not_binomial_raises(self, monkeypatch, num, wrong):
         # One seed binomial off by one makes some walk or step inexact, or
-        # some walk or the product end off its math.comb value.
+        # some run end off its math.comb value.
         _binomial_off_by_one(monkeypatch, *wrong)
+        slices = [(12, 3, 9), (10, 2, 8), (9, 4, 7)]
         with pytest.raises(ArithmeticError, match="walk along row|slice product"):
             if num is Decimal:
-                _in_decimal(_slice_product, 1, (12, 3, 9), (10, 2, 8))
+                _in_decimal(_product, 1, slices)
             else:
-                _slice_product(1, (12, 3, 9), (10, 2, 8))
+                _product(1, slices)
+
+
+def _spy_on_product(monkeypatch):
+    """The slices of every ``_product`` call from here on, in call order: per
+    term, the slices of the recurrence, then each short slice on its own."""
+    calls = []
+    product = counting._product
+
+    def spy(seed, slices):
+        calls.append(list(slices))
+        return product(seed, slices)
+
+    monkeypatch.setattr(counting, "_product", spy)
+    return calls
+
+
+def _member_reference(chambers, i):
+    """A member of chamber i's critical numbers, for (size, quota) chambers:
+    its quota core times the other chambers' quota..size rows, by ``plain_convolve``."""
+    m, q = chambers[i]
+    others = [(m_j, q_j, m_j) for j, (m_j, q_j) in enumerate(chambers) if j != i]
+    row = _product_reference(math.comb(m - 1, q - 1), others)
+    return dict(enumerate(row, q + sum(q_j for _, q_j, _ in others)))
+
+
+class TestSplitRule:
+    """Which slices ``_counts`` multiplies by the subset recurrence: the k-th
+    longest only with at least 2^(k-1) entries, since each doubles the runs."""
+
+    def test_twenty_short_chambers_beside_a_long_one(self, monkeypatch):
+        chambers = [(3000, 1501)] + [(3, 2)] * 20
+        spec = MulticamSpec(ChamberSpec(f"c{i}", m, q) for i, (m, q) in enumerate(chambers))
+        calls = _spy_on_product(monkeypatch)
+        for i in (0, 1):
+            assert spec.critical_vector(f"c{i}") == _member_reference(chambers, i)
+        # Per member, the 1,501-entry slice and one 2-entry slice, or two
+        # 2-entry slices, in the recurrence; the other 18 slices are convolved
+        # in, each one walk.
+        assert [len(slices) for slices in calls] == ([2] + [1] * 18) * 2
+
+    def test_one_seat_chambers_fold_into_the_core(self, monkeypatch):
+        chambers = [(40, 21), (1, 1), (30, 16), (1, 1), (1, 1), (25, 5)]
+        spec = MulticamSpec(ChamberSpec(f"c{i}", m, q) for i, (m, q) in enumerate(chambers))
+        calls = _spy_on_product(monkeypatch)
+        for i in range(len(chambers)):
+            assert spec.critical_vector(f"c{i}") == _member_reference(chambers, i)
+        assert [sorted(m for m, _, _ in slices) for slices in calls] == \
+            [[25, 30], [25, 30, 40], [25, 40], [25, 30, 40], [25, 30, 40], [30, 40]]
 
 
 class TestBoxCriticalVector:
@@ -511,24 +568,21 @@ class TestCriticalDigits:
     def test_us_system_and_its_quota_variants(self, changes):
         self._check(UsSpec().replace(**changes))
 
-    def test_four_chambers_on_the_kronecker_path(self, monkeypatch):
+    def test_four_chambers_in_one_recurrence(self, monkeypatch):
+        # Each member's three other slices, of 60 to 62 entries, are all
+        # multiplied by the subset recurrence, in the int run and the digits run.
         spec = _majority_chambers(120, 121, 122, 123)
-        names, seats = zip(*spec.axes())
-        for axis, class_id in enumerate(names):
-            assert _kronecker(_terms(seats, spec.boxes(), axis))
+        calls = _spy_on_product(monkeypatch)
         self._check(spec)
-        # Handed the int counts, it converts them rather than counting again.
-        vectors = {class_id: spec.critical_vector(class_id) for class_id in names}
-        monkeypatch.setattr(counting, "_counts", None)
-        for class_id, vec in vectors.items():
-            assert dict(spec.critical_digits(class_id, vec)) == {k: str(v) for k, v in vec.items()}
+        assert [len(slices) for slices in calls] == [3] * 8
 
-    def test_a_short_third_slice_is_counted_in_decimal(self):
-        spec = _majority_chambers(300, 250, 40, 30)
-        names, seats = zip(*spec.axes())
-        assert not any(_kronecker(_terms(seats, spec.boxes(), axis))
-                       for axis in range(len(names)))
+    def test_a_short_slice_is_convolved_into_the_recurrence(self, monkeypatch):
+        # Beside slices of 125 and 20 entries, the 3-seat chamber's 2-entry
+        # slice is short of the 4 a third slice needs.
+        spec = _majority_chambers(300, 250, 40, 3)
+        calls = _spy_on_product(monkeypatch)
         self._check(spec)
+        assert [len(slices) for slices in calls] == [2, 1] * 6 + [3, 3]
 
     @settings(max_examples=15, deadline=None)
     @given(chambers=st.lists(st.integers(100, 400).flatmap(

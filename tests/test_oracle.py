@@ -383,13 +383,13 @@ class TestLattice:
         ((100, 100, 1), (1, 1, 1)),
         ((120, 110, 3), (20, 30, 2)),
         ((60, 55, 50, 1), (1, 1, 1, 1)),
-    ], ids=["100x100", "101x81", "60x55x50"])
-    def test_member_vector_on_the_kronecker_path(self, sizes, quotas):
-        # The last chamber's member multiplies slices longer than
-        # KRONECKER_MIN_LEN.  Two of them (100 x 100 and 101 x 81 entries)
-        # take the slice recurrence; of three (60, 55 and 50 entries), the two
-        # longest take the recurrence and the third is convolved into their
-        # product by Kronecker substitution.
+        ((24, 20, 16, 12, 1), (5, 7, 3, 6, 1)),
+    ], ids=["100x100", "101x81", "60x55x50", "24x20x16x12"])
+    def test_member_vector_of_long_slices(self, sizes, quotas):
+        # The last chamber's member multiplies long slices by the subset
+        # recurrence: two of them (100 x 100 and 101 x 81 entries), three (60,
+        # 55 and 50 entries), or of four (20, 14, 14 and 7 entries) the three
+        # longest, the fourth, short of 2^3 entries, convolved into their product.
         spec = MulticamSpec(tuple(
             ChamberSpec(f"c{i}", m, q) for i, (m, q) in enumerate(zip(sizes, quotas))))
         _assert_lattice_matches_the_closed_forms(spec)
