@@ -1,13 +1,13 @@
 """Closed-form member critical numbers for multicameral legislatures.
 
 A legislature passes a motion when every chamber meets its quota: counted in
-seats, the winning coalitions form one box, quota..size in every chamber.
-``MulticamSpec.boxes()`` states it, and ``SeatGame.critical_vector`` counts a
-member's critical coalitions from it: at size k, C(m-1, q-1) * U(k - q), where
-U counts the quota-meeting picks from the other chambers.  ``compare_members``
-compares two classes of any spec, a ``UsSpec`` too, as ``weak_desirability``
-does; on two chambers the per-size signs are cross-checked against
-``combinat.member_signs``.
+seats, the winning coalitions are the up-set of one corner, the quotas.
+``MulticamSpec.corners()`` states it, and ``SeatGame.critical_vector`` counts
+a member's critical coalitions from it: at size k, C(m-1, q-1) * U(k - q),
+where U counts the quota-meeting picks from the other chambers.
+``compare_members`` compares two classes of any spec, a ``UsSpec`` too, as
+``weak_desirability`` does; on two chambers the per-size signs are
+cross-checked against ``combinat.member_signs``.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ class MulticamSpec(SeatGame):
         chamber, named after it, in chamber order."""
         return tuple((c.name, c.size) for c in self.chambers)
 
-    def boxes(self) -> list[tuple[tuple[int, int], ...]]:
-        """The winning seat counts: one box, quota..size in every chamber."""
-        return [tuple((c.quota, c.size) for c in self.chambers)]
+    def corners(self) -> list[tuple[int, ...]]:
+        """The winning seat counts: one corner, the quotas."""
+        return [tuple(c.quota for c in self.chambers)]
 
     def to_document(self) -> dict:
         """The spec-file document describing this legislature."""

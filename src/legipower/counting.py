@@ -1,30 +1,32 @@
-"""Exact critical numbers in games whose winning seat counts form a union of boxes.
+"""Exact critical numbers in games whose winning seat counts are a union of up-sets.
 
 Members of one axis (a chamber, or a one-seat executive) are interchangeable,
-so a coalition is counted by its seats on each axis.  ``box_critical_vector``
-counts a player's critical coalitions, per coalition size, as a signed sum
-over the boxes' intersections (``_terms``).  Each term is a core, one
-binomial on the player's own axis, times the product of the other axes'
-binomial row slices S(t) = sum_{lo<=x<=hi} C(m, x) t^x, so every count is
-an exact integer.
+so a coalition is counted by its seats on each axis.  The winning seat counts
+are given by lower corners: a coalition wins when, for some corner, it holds
+at least the corner's seats on every axis.  ``box_critical_vector`` counts a
+player's critical coalitions, per coalition size, as a signed sum over the
+corners' meets, each their coordinatewise max (``_terms``).  Each term is a
+core, one binomial on the player's own axis, times the product of the other
+axes' binomial row tails S(t) = sum_{lo<=x<=m} C(m, x) t^x, so every count
+is an exact integer.
 
-No row is built whole.  A slice satisfies
-(1+t) S' - m S = lo C(m, lo) t^(lo-1) - (m-hi) C(m, hi) t^hi, so the
-product of a set T of slices has a first-order recurrence whose right side
-is products of its subsets, each a run of the same recurrence, down to
-single slices, which are ratio walks c <- c (m - x) / (x + 1) (``_product``).
-Every step of every run is a small-integer multiply, an addition and a
-checked exact division, so no step multiplies two big numbers, and every
-run's last entry is compared with ``math.comb``.  Runs grow as 2^|T|, so
-``_counts`` lets a slice join T only while it is long enough to pay for the
-doubling, and convolves the rest in entry by entry (``_convolve``).
+No row is built whole.  A tail satisfies (1+t) S' - m S = lo C(m, lo) t^(lo-1),
+so the product of a set T of tails has a first-order recurrence whose right
+side is products of its subsets, each a run of the same recurrence seeded
+with one monomial's coefficient, down to single tails, which are ratio walks
+c <- c (m - x) / (x + 1) (``_product``).  Every step of every run is a
+small-integer multiply, an addition and a checked exact division, so no step
+multiplies two big numbers, and every run must end at its seed, as every
+C(m, m) is 1.  Runs grow as 2^|T|, so ``_counts`` lets a tail join T only
+while it is long enough to pay for the doubling, and convolves the rest in
+entry by entry (``_convolve``).
 
 ``box_critical_digits`` runs the same arithmetic in ``decimal`` under
 ``_EXACT``, which traps every rounding.  Every step is then linear in the
 digits, as ``str`` of an integral ``Decimal`` is, where ``str`` of an
 ``int`` is quadratic; reports print from these digits.  ``SeatGame``, the
 base of both spec types, derives a spec's classes, critical vectors and
-their digits from its ``axes()`` and ``boxes()``.
+their digits from its ``axes()`` and ``corners()``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import decimal
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from decimal import Decimal
-from math import comb, prod
+from operator import le
 
 from .combinat import FrozenValue, binomial
 
@@ -103,90 +105,82 @@ def _convolve(a: list, b: list) -> list:
     return out
 
 
-_Box = tuple[tuple[int, int], ...]
-_Slice = tuple[int, int, int]  # (m, lo, hi): C(m, lo..hi)
+_Corner = tuple[int, ...]
+_Slice = tuple[int, int]  # (m, lo): C(m, lo..m)
 _Term = tuple[int, int, list[_Slice]]  # (first size, core, slices)
 
 
-def _plan(slices: tuple[_Slice, ...], seed, delay: int, runs: list, index: dict) -> int:
-    """Place in ``runs`` of the run of ``slices`` seeded with ``seed`` and
-    started ``delay`` steps late, added after every run it reads.
+def _plan(slices: tuple[_Slice, ...], seed, runs: list, index: dict) -> int:
+    """Place in ``runs`` of the run of ``slices`` seeded with ``seed``, added
+    after every run it reads.
 
-    A run is (delay, length, first exponent, sum of the m_i, first and last
-    coefficient, places of the runs it reads, slices).  Its first coefficient
-    is seed C(m_1, lo_1) ... C(m_r, lo_r), its last seed C(m_1, hi_1) ...
-    C(m_r, hi_r) by ``math.comb``.  A run is fixed by its slices, seed and
-    delay, so equal runs are planned once (``index``).
+    A run is (length, first exponent, sum of the m_i, first coefficient,
+    seed, places of the runs it reads, slices).  Its first coefficient is
+    seed C(m_1, lo_1) ... C(m_r, lo_r) and its last the seed, as every
+    C(m_i, m_i) is 1.  A run is fixed by its slices and seed, so equal runs
+    are planned once (``index``).
     """
-    key = (slices, seed, delay)
+    key = (slices, seed)
     if key not in index:
         num = type(seed)
         reads = []
         if len(slices) > 1:
-            for i, (m, lo, hi) in enumerate(slices):
-                rest = slices[:i] + slices[i + 1:]
-                # R_i P_{T-i}: t^(lo-1) reads the run one step ahead, t^hi
-                # one started hi - lo + 1 steps late.
-                for c, x, lag in ((lo, lo, 0), (hi - m, hi, hi - lo + 1)):
-                    if c:
-                        child_seed = seed * num(c * binomial(m, x))
-                        reads.append(_plan(rest, child_seed, delay + lag, runs, index))
-        first, last = seed, seed
-        for m, lo, hi in slices:
+            # R_i P_{T-i} starts one power below P_T: a run one step ahead.
+            # A full row's R_i is 0.
+            for i, (m, lo) in enumerate(slices):
+                if lo:
+                    child_seed = seed * num(lo * binomial(m, lo))
+                    reads.append(_plan(slices[:i] + slices[i + 1:], child_seed, runs, index))
+        first = seed
+        for m, lo in slices:
             first *= num(binomial(m, lo))
-            last *= num(comb(m, hi))
         index[key] = len(runs)
-        runs.append((delay, sum(hi - lo for _, lo, hi in slices) + 1,
-                     sum(lo for _, lo, _ in slices), sum(m for m, _, _ in slices),
-                     first, last, reads, slices))
+        runs.append((sum(m - lo for m, lo in slices) + 1, sum(lo for _, lo in slices),
+                     sum(m for m, _ in slices), first, seed, reads, slices))
     return index[key]
 
 
 def _product(seed, slices: Sequence[_Slice]) -> list:
-    """Coefficients lo_1+...+lo_r .. hi_1+...+hi_r of seed S_1 ... S_r, where
-    the slices are (m_i, lo_i, hi_i) and S_i(t) = sum_{lo_i<=x<=hi_i} C(m_i, x) t^x.
+    """Coefficients lo_1+...+lo_r .. m_1+...+m_r of seed S_1 ... S_r, where
+    the slices are tails (m_i, lo_i) and S_i(t) = sum_{lo_i<=x<=m_i} C(m_i, x) t^x.
 
-    Each slice satisfies (1+t) S_i' - m_i S_i = R_i with R_i = lo_i C(m_i, lo_i)
-    t^(lo_i-1) - (m_i-hi_i) C(m_i, hi_i) t^hi_i, so for a set T of slices
-    P_T = prod_{i in T} S_i satisfies (1+t) P_T' - (sum_{i in T} m_i) P_T =
-    sum_{i in T} R_i P_{T-i}, and coefficient by coefficient
+    Each tail satisfies (1+t) S_i' - m_i S_i = R_i with R_i = lo_i C(m_i, lo_i)
+    t^(lo_i-1), so for a set T of tails P_T = prod_{i in T} S_i satisfies
+    (1+t) P_T' - (sum_{i in T} m_i) P_T = sum_{i in T} R_i P_{T-i}, and
+    coefficient by coefficient
 
         (j+1) P_T[j+1] = (M_T - j) P_T[j] + [sum_{i in T} R_i P_{T-i}]_j.
 
     Each R_i P_{T-i} is a run of the same recurrence over T-i, seeded with the
-    seed times the monomial's coefficient; a run of one slice reads nothing:
+    seed times the monomial's coefficient; a run of one tail reads nothing:
     it is the ratio walk c <- c (m - x) / (x + 1).  All runs step together,
     each after the runs it reads, so only the newest coefficient of each is
     held.  Every step is a small-integer multiply, an addition and a
     division by a small integer, in ``int``, or in ``Decimal`` under
-    ``_EXACT`` when ``seed`` is a ``Decimal``.  A remainder, or a run's last
-    coefficient other than its ``math.comb`` value, raises
-    ``ArithmeticError``.  A slice whose R_i is one monomial, as a quota..size
-    slice's is, doubles the runs, one with two monomials at most triples
-    them, and a full row (R_i = 0) adds none.
+    ``_EXACT`` when ``seed`` is a ``Decimal``.  A remainder, or a run that
+    does not end at its seed, raises ``ArithmeticError``.  A tail from
+    lo > 0 doubles the runs, and a full row (R_i = 0) adds none.
 
-    >>> _product(2, [(4, 1, 4)])
+    >>> _product(2, [(4, 1)])
     [8, 12, 8, 2]
-    >>> _product(1, [(3, 1, 2), (2, 0, 2)])
-    [3, 9, 9, 3]
+    >>> _product(1, [(3, 2), (2, 0)])
+    [3, 7, 5, 1]
     """
     runs: list = []
-    _plan(tuple(slices), seed, 0, runs, {})
+    _plan(tuple(slices), seed, runs, {})
     values = [0] * len(runs)
-    rounds = max(run[0] + run[1] for run in runs) + 1  # + 1: every run's end checked
+    rounds = runs[-1][0] + 1  # the last run is the longest; + 1: its end checked
     steps = [_steps(k, values, rounds, *run) for k, run in enumerate(runs)]
     out = [values[-1] for _ in zip(*steps)]  # each round steps every run, in plan order
-    return out[:runs[-1][1]]
+    return out[:-1]
 
 
-def _steps(k: int, values: list, rounds: int, delay: int, n: int, first: int, total: int,
-           start, end, reads: list[int], slices: tuple[_Slice, ...]) -> Iterator[None]:
+def _steps(k: int, values: list, rounds: int, n: int, first: int, total: int, start, seed,
+           reads: list[int], slices: tuple[_Slice, ...]) -> Iterator[None]:
     """One run of ``_product`` over ``rounds`` steps, one coefficient per step,
-    kept in ``values[k]`` and read there from ``values[reads]``; 0 before and after."""
+    kept in ``values[k]`` and read there from ``values[reads]``; 0 after its end."""
     name = f"walk along row {slices[0][0]}" if len(slices) == 1 else "slice product"
     get = values.__getitem__
-    for _ in range(delay):
-        yield
     values[k] = v = start
     yield
     for j in range(first, first + n - 1):
@@ -198,76 +192,48 @@ def _steps(k: int, values: list, rounds: int, delay: int, n: int, first: int, to
             raise ArithmeticError(f"{name} is not exact at t^{j + 1}")
         values[k] = v
         yield
-    if v != end:
-        ends = " ".join(f"C({m}, {hi})" for m, _, hi in slices)
-        raise ArithmeticError(f"{name} ends off {ends}")
+    if v != seed:
+        raise ArithmeticError(f"{name} does not end at its seed")
     values[k] = 0
-    for _ in range(rounds - delay - n):
+    for _ in range(rounds - n):
         yield
 
 
-def _signed_meets(boxes: Iterable[_Box]) -> dict[_Box, int]:
-    """The union's indicator as a signed sum of the boxes' intersections, each
-    a box, by inclusion-exclusion; equal intersections merge and zero signs drop."""
-    signs: dict[_Box, int] = {}
-    for box in boxes:
+def _signed_meets(corners: Iterable[_Corner]) -> dict[_Corner, int]:
+    """The union's indicator as a signed sum of the corners' meets, each the
+    coordinatewise max of some corners, by inclusion-exclusion; equal meets
+    merge and zero signs drop."""
+    signs: dict[_Corner, int] = {}
+    for corner in corners:
         for other, sign in list(signs.items()):
-            meet = tuple((max(a, c), min(b, d)) for (a, b), (c, d) in zip(box, other))
-            if all(lo <= hi for lo, hi in meet):
-                signs[meet] = signs.get(meet, 0) - sign
-        signs[box] = signs.get(box, 0) + 1
-        signs = {b: s for b, s in signs.items() if s}
+            meet = tuple(map(max, corner, other))
+            signs[meet] = signs.get(meet, 0) - sign
+        signs[corner] = signs.get(corner, 0) + 1
+        signs = {c: s for c, s in signs.items() if s}
     return signs
 
 
-def _cells(signs: Mapping[_Box, int]) -> int:
-    """Number of lattice cells in the union a signed sum of boxes describes."""
-    return sum(s * prod(hi - lo + 1 for lo, hi in box) for box, s in signs.items())
-
-
-def _terms(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int, int]]],
-           axis: int) -> list[_Term]:
+def _terms(seats: Sequence[int], corners: Iterable[Sequence[int]], axis: int) -> list[_Term]:
     """(first size, core, slices) per term of a player's critical numbers when a
-    coalition with a_i seats on each axis i passes exactly when some box has
-    lo_i <= a_i <= hi_i on every axis; the term counts core S_1 ... S_r from
-    that size on, each S_i(t) = sum_{lo_i<=x<=hi_i} C(m_i, x) t^x given as
-    (m_i, lo_i, hi_i), longest first.
+    coalition with a_i seats on each axis i passes exactly when some corner
+    has a_i >= c_i on every axis; the term counts core S_1 ... S_r from that
+    size on, each S_i(t) = sum_{c_i<=x<=m_i} C(m_i, x) t^x given as
+    (m_i, c_i), longest first.
 
-    Boxes are clipped to 0..seats.  The union must be monotone along ``axis``
-    (one more seat there never loses), so the player is critical exactly where
-    the union's indicator steps up along that axis.  It is monotone there
-    exactly when it has as many cells as the union of the boxes' up-closures
-    along ``axis`` (each box's hi there raised to the axis's seats), which
-    contains it; otherwise a ``RuntimeError`` names the first box whose
-    up-closure leaves the union (the spec's boxes are at fault, not its
-    input).  By inclusion-exclusion the indicator is a signed sum of the
-    boxes' intersections, each a box.  Inside one box the step is +1 in the
-    layer a_axis = lo and -1 in the layer a_axis = hi + 1; a layer at a
-    seats, empty unless 1 <= a <= m, has the core +-C(m-1, a-1) and the other
-    axes' slices, each cut to the box's range on its axis.
+    A corner above an axis's seats holds no cell and is dropped.  A union of
+    up-sets is monotone, so the player is critical exactly where the union's
+    indicator steps up along ``axis``.  By inclusion-exclusion the indicator
+    is a signed sum of the corners' meets, each an up-set, which steps up
+    only in its layer a_axis = c_axis; unless c_axis is 0, that layer has the
+    core +-C(m-1, c_axis-1) and the other axes' tails from the meet.
     """
-    clipped = [tuple((max(lo, 0), min(hi, m)) for (lo, hi), m in zip(box, seats))
-               for box in boxes]
-    clipped = [box for box in clipped if all(lo <= hi for lo, hi in box)]
     m = seats[axis]
-
-    def up(box: _Box) -> _Box:
-        return box[:axis] + ((box[axis][0], m),) + box[axis + 1:]
-
-    signs = _signed_meets(clipped)
-    cells = _cells(signs)
-    if _cells(_signed_meets(map(up, clipped))) != cells:
-        first = next(b for b in clipped if _cells(_signed_meets([*clipped, up(b)])) != cells)
-        raise RuntimeError(f"the boxes' union is not monotone along axis {axis}: box {first}, "
-                           f"raised to its {m} seats there, leaves the union")
     terms = []
-    for box, sign in signs.items():
-        lo, hi = box[axis]
-        others = sorted(((seats[i], lo_i, hi_i) for i, (lo_i, hi_i) in enumerate(box)
-                         if i != axis), key=lambda s: s[2] - s[1], reverse=True)
-        offset = sum(lo_i for _, lo_i, _ in others)
-        terms += [(offset + a, s * binomial(m - 1, a - 1), others)
-                  for a, s in ((lo, sign), (hi + 1, -sign)) if 0 < a <= m]
+    for corner, sign in _signed_meets(tuple(c) for c in corners if all(map(le, c, seats))).items():
+        if a := corner[axis]:
+            others = sorted(((seats[i], c) for i, c in enumerate(corner) if i != axis),
+                            key=lambda s: s[0] - s[1], reverse=True)
+            terms.append((sum(c for _, c in others) + a, sign * binomial(m - 1, a - 1), others))
     return terms
 
 
@@ -275,57 +241,57 @@ def _counts(terms: list[_Term], num: type) -> dict:
     """Every term summed, by size, in the number type ``num``: ``int``, or
     ``Decimal`` under ``_EXACT``.
 
-    A slice of one entry is a factor of the core.  The others, longest first,
-    join the set ``_product`` multiplies by its recurrence while the k-th
-    such slice has at least 2^(k-1) entries, since each doubles the runs; a
-    full row (R = 0) joins without a run of its own.  The remaining short
-    slices are convolved into that product entry by entry.
+    A tail of one entry (lo = m) is a factor of 1.  The others, longest
+    first, join the set ``_product`` multiplies by its recurrence while the
+    k-th such tail has at least 2^(k-1) entries, since each doubles the runs;
+    a full row (lo = 0, R = 0) joins without a run of its own.  The remaining
+    short tails are convolved into that product entry by entry.
     """
     counts: dict = {}
     for first, core, slices in terms:
-        seed, joint, short, runs = num(core), [], [], 1
-        for m, lo, hi in slices:
-            if lo == hi:
-                seed *= num(binomial(m, lo))
-            elif (lo, hi) == (0, m):
-                joint.append((m, lo, hi))
-            elif hi - lo + 1 >= runs:
-                joint.append((m, lo, hi))
+        joint, short, runs = [], [], 1
+        for m, lo in slices:
+            if lo == m:
+                continue
+            if not lo:
+                joint.append((m, lo))
+            elif m - lo + 1 >= runs:
+                joint.append((m, lo))
                 runs *= 2
             else:
-                short.append((m, lo, hi))
-        rest = _product(seed, joint)
-        for m, lo, hi in short:
-            rest = _convolve(rest, _product(num(1), [(m, lo, hi)]))
+                short.append((m, lo))
+        rest = _product(num(core), joint)
+        for tail in short:
+            rest = _convolve(rest, _product(num(1), [tail]))
         for k, v in enumerate(rest, first):
             counts[k] = counts.get(k, 0) + v
     return counts
 
 
-def box_critical_vector(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int, int]]],
+def box_critical_vector(seats: Sequence[int], corners: Iterable[Sequence[int]],
                         axis: int) -> CountVector:
     """Exact critical numbers of one player on ``axis`` when a coalition with
-    a_i seats on each axis i passes exactly when some box has lo_i <= a_i <= hi_i
-    on every axis; ``_terms`` states the sum and its checks, ``_counts`` sums it.
+    a_i seats on each axis i passes exactly when some corner has a_i >= c_i
+    on every axis; ``_terms`` states the sum, ``_counts`` sums it.
 
     A single term's products may be negative, their sums are not.
     """
-    return CountVector(_counts(_terms(seats, boxes, axis), int))
+    return CountVector(_counts(_terms(seats, corners, axis), int))
 
 
-def box_critical_digits(seats: Sequence[int], boxes: Iterable[Sequence[tuple[int, int]]],
+def box_critical_digits(seats: Sequence[int], corners: Iterable[Sequence[int]],
                         axis: int) -> Iterator[tuple[int, str]]:
     """``box_critical_vector``'s counts as (size, decimal digits), by ascending size.
 
     The same runs go in ``decimal`` under ``_EXACT``, whose every step is
     linear in the digits, as ``str`` of an integral ``Decimal`` is; only the
-    seeds and the checked ends convert from ``int``.  The caller's decimal
-    context and int-string digit limit play no part.  Each count's digits are
-    made as its pair is taken and the count dropped, so a caller that elides
-    them never holds a class's digits at once.
+    seeds convert from ``int``.  The caller's decimal context and int-string
+    digit limit play no part.  Each count's digits are made as its pair is
+    taken and the count dropped, so a caller that elides them never holds a
+    class's digits at once.
     """
     with decimal.localcontext(_EXACT):
-        counts = _counts(_terms(seats, boxes, axis), Decimal)
+        counts = _counts(_terms(seats, corners, axis), Decimal)
     for k in sorted(counts):
         v = counts.pop(k)
         if v:
@@ -336,10 +302,9 @@ class SeatGame(FrozenValue):
     """A simple game counted in seats, stated by two methods of its subclass.
 
     ``axes()`` gives (class id, seats) per seat-count axis, in bit order.
-    ``boxes()`` gives the winning seat counts as a union of boxes, one
-    (lo, hi) range per axis; the union must be monotone along every axis (one
-    more seat on any axis never turns a win into a loss), as
-    ``box_critical_vector`` requires; it checks the axis of the class asked for.
+    ``corners()`` gives the winning seat counts as lower corners, one seat
+    count per axis: a coalition wins when, for some corner, it holds at least
+    the corner's seats on every axis, so one more seat never loses.
     A subclass is a ``FrozenValue`` whose fields are its ``__slots__``.
     """
 
@@ -353,18 +318,18 @@ class SeatGame(FrozenValue):
         """The ids of the axes with at least one seat, in axis order."""
         return tuple(name for name, seats in self.axes() if seats)
 
-    def _box_args(self, class_id: str) -> tuple[tuple[int, ...], list, int]:
+    def _corner_args(self, class_id: str) -> tuple[tuple[int, ...], list, int]:
         if class_id not in self.class_ids():
             raise ValueError(f"no player class {class_id!r}; the classes are "
                              f"{', '.join(self.class_ids())}")
         names, seats = zip(*self.axes())
-        return seats, self.boxes(), names.index(class_id)
+        return seats, self.corners(), names.index(class_id)
 
     def critical_vector(self, class_id: str) -> CountVector:
         """Exact critical numbers of one player of the class, for every size."""
-        return box_critical_vector(*self._box_args(class_id))
+        return box_critical_vector(*self._corner_args(class_id))
 
     def critical_digits(self, class_id: str) -> Iterator[tuple[int, str]]:
         """``critical_vector(class_id)``'s counts as (size, decimal digits), by
         ascending size, in time linear in the digits (``box_critical_digits``)."""
-        return box_critical_digits(*self._box_args(class_id))
+        return box_critical_digits(*self._corner_args(class_id))

@@ -4,11 +4,11 @@ A bill passes either on the signature track (president present, house quota
 met, and the senate quota met outright or via the vice president breaking an
 exact tie) or on the override track (both override quotas met, president not
 needed).  Counted in seats on the axes (president, vice president, senate,
-house), the winning coalitions are a union of boxes: the override box, the
-signature box, and, when the tie break is active, the vice president's tie
-row at exactly one seat short of the senate quota.  ``UsSpec.boxes()`` states
-them, and ``SeatGame.critical_vector`` counts every class's critical numbers
-from them.
+house), the winning coalitions are the up-sets of a few lower corners: the
+override quotas, the signature quotas with the president, and, when the tie
+break is active, the president and vice president with one senate seat short
+of the quota.  ``UsSpec.corners()`` states them, and
+``SeatGame.critical_vector`` counts every class's critical numbers from them.
 """
 
 from __future__ import annotations
@@ -69,15 +69,17 @@ class UsSpec(SeatGame):
                 (PlayerClass.SENATOR.value, self.senate_size),
                 (PlayerClass.REPRESENTATIVE.value, self.house_size))
 
-    def boxes(self) -> list[tuple[tuple[int, int], ...]]:
-        """The winning seat counts on ``axes()``: the override box, the
-        signature box and, when the tie break is active, the VP's tie row."""
-        m_s, m_r, q_s, q_r = self.senate_size, self.house_size, self.senate_quota, self.house_quota
-        boxes = [((0, 1), (0, 1), (self.senate_override, m_s), (self.house_override, m_r)),
-                 ((1, 1), (0, 1), (q_s, m_s), (q_r, m_r))]
+    def corners(self) -> list[tuple[int, ...]]:
+        """The winning seat counts on ``axes()``, as lower corners: the
+        override track, the signature track and, when the tie break is active,
+        the VP's tie one senate seat short of the quota.  Without a president
+        the signature corner exceeds the president axis's 0 seats and holds
+        no cell."""
+        q_s, q_r = self.senate_quota, self.house_quota
+        corners = [(0, 0, self.senate_override, self.house_override), (1, 0, q_s, q_r)]
         if self.tie_break_active:
-            boxes.append(((1, 1), (1, 1), (q_s - 1, q_s - 1), (q_r, m_r)))
-        return boxes
+            corners.append((1, 1, q_s - 1, q_r))
+        return corners
 
     @property
     def tie_break_active(self) -> bool:

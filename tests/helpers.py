@@ -66,15 +66,16 @@ def plain_convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def box_union_critical_counts(seats: list[int], boxes, axis: int) -> dict[int, int]:
+def box_union_critical_counts(seats: list[int], corners, axis: int) -> dict[int, int]:
     """Per-size counts of the coalitions that pass and fail without player 0
-    of ``axis``, where a coalition passes when its seats on every axis lie in
-    one box's [lo, hi]; every subset of a labelled universe is checked."""
+    of ``axis``, where a coalition passes when its seats on every axis reach
+    one corner's, so lie in the box from the corner to the seats; every
+    subset of a labelled universe is checked."""
     offsets = [sum(seats[:i]) for i in range(len(seats))]
 
     def wins(mask: int) -> bool:
         counts = [((mask >> o) & ((1 << m) - 1)).bit_count() for o, m in zip(offsets, seats)]
-        return any(all(lo <= a <= hi for a, (lo, hi) in zip(counts, box)) for box in boxes)
+        return any(all(a >= c for a, c in zip(counts, corner)) for corner in corners)
 
     player = 1 << offsets[axis]
     critical: dict[int, int] = {}

@@ -53,6 +53,12 @@ class TestSpecs:
     def test_simple_majority_constructor(self):
         assert ChamberSpec.simple_majority("a", 100).quota == 51
 
+    def test_corners_are_the_quotas(self):
+        spec = MulticamSpec((ChamberSpec("a", 3, 2), ChamberSpec("b", 5, 5),
+                             ChamberSpec("c", 1, 1)))
+        assert spec.corners() == [(2, 5, 1)]
+        assert [m for _, m in spec.axes()] == [3, 5, 1]
+
 
 class TestMemberCriticalVector:
     def test_smaller_chamber_example(self):

@@ -350,18 +350,20 @@ class TestOracle:
         assert (code, out) == (4, "")
         assert err.startswith("error: internal: RuleAxiomError: not-monotone: ")
 
-    def test_non_monotone_boxes_are_an_internal_error(self, capsys, monkeypatch):
+    def test_a_wrong_winning_set_is_a_mismatch(self, capsys, monkeypatch):
         from legipower.uslike import UsSpec
 
-        # The VP's tie row alone stops one senate seat short of the quota, so
-        # one more senator can lose: valid input, contradicted by the spec's boxes.
-        boxes = UsSpec.boxes
-        monkeypatch.setattr(UsSpec, "boxes", lambda spec: boxes(spec)[-1:])
-        code, out, err = _run(capsys, "us", "--no-meta")
-        assert (code, out) == (4, "")
-        assert err.startswith("error: internal: RuntimeError: "
-                              "the boxes' union is not monotone along axis 2: ")
-        assert err.count("\n") == 1
+        # Without the VP's tie corner the closed forms count a smaller winning
+        # set than the passage rule; the lattice, which never reads corners(),
+        # catches it at the first class.
+        corners = UsSpec.corners
+        monkeypatch.setattr(UsSpec, "corners", lambda spec: corners(spec)[:2])
+        spec = str(Path(__file__).parent / "golden" / "us_vp.json")
+        code, out, err = _run(capsys, "oracle", spec, "--format", "json", "--no-meta")
+        assert (code, err) == (1, "")
+        assert _rows(out, "oracle") == [
+            ["president", "MISMATCH", "size 7: closed 40, enumerated 100"],
+        ]
 
 
 class TestUsCommand:

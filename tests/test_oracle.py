@@ -414,11 +414,10 @@ class TestLattice:
                       president, vp)
         _assert_lattice_matches_the_closed_forms(spec)
 
-    def test_boxes_describe_the_passage_rule(self):
-        """On every cell of every small spec, the union of ``spec.boxes()``
-        wins exactly where the lattice's passage rule does.  The lattice
-        audits that rule for monotonicity, so the union meets
-        ``box_critical_vector``'s precondition on these specs."""
+    def test_corners_describe_the_passage_rule(self):
+        """On every cell of every small spec, the union of the up-sets of
+        ``spec.corners()`` wins exactly where the lattice's passage rule does,
+        and the lattice's audit finds that rule a simple game."""
         seat_quota = [(m, q) for m in range(1, 5) for q in range(1, m + 1)]
         multicam = [
             MulticamSpec(tuple(ChamberSpec(f"c{i}", m, q) for i, (m, q) in enumerate(chambers)))
@@ -428,10 +427,9 @@ class TestLattice:
         assert (len(multicam), len(us)) == (1110, 3600)
         for spec in multicam + us:
             layout, wins = lattice.axes(spec)
-            boxes = spec.boxes()
+            corners = spec.corners()
             for cell in itertools.product(*(range(m + 1) for _, m in layout)):
-                in_union = any(all(lo <= a <= hi for a, (lo, hi) in zip(cell, box))
-                               for box in boxes)
+                in_union = any(all(a >= c for a, c in zip(cell, corner)) for corner in corners)
                 assert in_union == bool(wins(*cell)), (spec, cell)
             lattice.critical_vectors(spec)
 
@@ -450,7 +448,7 @@ class TestLattice:
         # not reach it through them.
         named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert not named & {"boxes", "critical_vector", "box_critical_vector"}
+        assert not named & {"corners", "critical_vector", "box_critical_vector"}
 
     @pytest.mark.parametrize("rule, axiom", [
         (lambda spec, counts: True, "empty-cell-wins"),

@@ -15,6 +15,7 @@ from legipower import (
     supermajority_scan,
     weak_desirability,
 )
+from legipower.counting import box_critical_vector
 from legipower.semivalues import size_signs
 from bitmask import critical_vector, from_spec
 from helpers import MINI_US_SPECS
@@ -61,6 +62,32 @@ class TestUsSpec:
         two_chambers = MulticamSpec((ChamberSpec("s", 3, 2), ChamberSpec("r", 4, 3)))
         with pytest.raises(ValueError, match="'senator'.*s, r"):
             two_chambers.critical_vector("senator")
+
+
+class TestCorners:
+    def test_default_system_has_three_corners(self):
+        # The override track, the signature track and, with the senate quota
+        # one above a tie of 100, the VP's tie one senate seat short of it.
+        spec = UsSpec()
+        assert spec.tie_break_active
+        assert spec.corners() == [(0, 0, 67, 290), (1, 0, 51, 218), (1, 1, 50, 218)]
+        assert all(len(c) == len(spec.axes()) for c in spec.corners())
+
+    @pytest.mark.parametrize("changes", [{"senate_quota": 60}, {"has_vp": False},
+                                         {"has_president": False}])
+    def test_no_tie_break_no_vp_corner(self, changes):
+        spec = UsSpec().replace(**changes)
+        assert not spec.tie_break_active
+        assert len(spec.corners()) == 2
+
+    def test_absent_president_leaves_the_override_track(self):
+        # The signature corner needs one president seat on an axis of 0.
+        spec = UsSpec(3, 4, 2, 3, 3, 4, has_president=False, has_vp=True)
+        assert spec.corners()[1][0] > spec.axes()[0][1]
+        seats = [m for _, m in spec.axes()]
+        for axis in (2, 3):
+            assert spec.critical_vector(spec.axes()[axis][0]) == \
+                box_critical_vector(seats, spec.corners()[:1], axis)
 
 
 class TestDefaultSpotValues:
